@@ -76,7 +76,6 @@ class RunConfig:
     samples: int = 256
     beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     amplitude: float | None = None
-    k_wave: float | None = None
 
 
 def _g6(v: float) -> str:
@@ -149,8 +148,9 @@ def _beta_grid_arg(text: str) -> tuple[float, ...]:
     if not betas:
         raise argparse.ArgumentTypeError("beta grid must not be empty")
     for b in betas:
-        if abs(b) >= 1.0:
-            raise argparse.ArgumentTypeError(f"|beta| must be below 1, got {b}")
+        if not math.isfinite(b) or abs(b) >= 1.0:
+            raise argparse.ArgumentTypeError(
+                f"|beta| must be a finite number below 1, got {b}")
     return betas
 
 
@@ -319,7 +319,7 @@ def _threshold_packet(k: PhysicalConstants) -> WavePacket:
 def _cmd_invariants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     packet = _threshold_packet(k)
     frames = []
-    max_dev = 0.0
+    deviations = []
     for beta in config.beta_grid:
         report = boost_packet(packet, beta, packet.direction)
         prim = report.primed
@@ -334,7 +334,9 @@ def _cmd_invariants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
             "c2": ic.c2,
             "c3": ic.c3,
         })
-        max_dev = max(max_dev, report.ratio_deviations)
+        deviations.append(report.ratio_deviations)
+    # max() can drop a NaN; keep it, so that the gate below fails on it
+    max_dev = math.nan if any(map(math.isnan, deviations)) else max(deviations)
     ok = max_dev <= INVARIANT_THRESHOLD
 
     if config.format == "json":

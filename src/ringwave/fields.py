@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import C_LIGHT
 from .errors import DomainError, UnsupportedConfigurationError
 from .geometry import RingGeometry, frenet_at
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KIND_PLANE = "plane"
 KIND_PHOTON = "twirled_photon"
@@ -152,11 +154,20 @@ def amplitude_at(cfg: FieldConfiguration, l: float) -> float:
     """
     if cfg.kind == KIND_PLANE:
         return cfg.e_o * math.cos(cfg.k_wave * l + cfg.phase)
-    lam = cfg.geometry.circumference
-    lw = l % lam
+    theta = _ring_phase(cfg, l)
+    return 0.0 if theta is None else cfg.sign * cfg.e_o * math.cos(theta)
+
+
+def _ring_phase(cfg: FieldConfiguration, l: float) -> float | None:
+    """Phase k l + phase of a ring kind, l wrapped by one circumference.
+
+    None outside the configured support, which ends at support[1] give
+    or take rounding.
+    """
+    lw = l % cfg.geometry.circumference
     if lw > cfg.support[1] and not math.isclose(lw, cfg.support[1]):
-        return 0.0
-    return cfg.sign * cfg.e_o * math.cos(cfg.k_wave * lw + cfg.phase)
+        return None
+    return cfg.k_wave * lw + cfg.phase
 
 
 def field_at(cfg: FieldConfiguration, l: float) -> FieldSample:
@@ -164,8 +175,12 @@ def field_at(cfg: FieldConfiguration, l: float) -> FieldSample:
 
     Ring kinds: E = a(l) * r_out, H = a(l) * (tau x r_out), so that
     E x H points along the direction of travel and |E| = |H| holds
-    pointwise.  Plane kind: E = a(l) y, H = a(l) z at position (l,0,0).
+    pointwise.  In the ring plane tau x r_out = -sense z (sense +1 for
+    "ccw", -1 for "cw"), so H = -sense a(l) z.  Plane kind:
+    E = a(l) y, H = a(l) z at position (l,0,0).
     """
+    import numpy as np
+
     a = amplitude_at(cfg, l)
     if cfg.kind == KIND_PLANE:
         return FieldSample(
@@ -173,13 +188,14 @@ def field_at(cfg: FieldConfiguration, l: float) -> FieldSample:
             E=np.array([0.0, a, 0.0]),
             H=np.array([0.0, 0.0, a]),
         )
-    frame = frenet_at(cfg.geometry, l)
-    r_out = -frame.normal
-    return FieldSample(l=l, E=a * r_out, H=a * np.cross(frame.tangent, r_out))
+    r_out = -frenet_at(cfg.geometry, l).normal
+    return FieldSample(l=l, E=a * r_out, H=np.array([0.0, 0.0, -cfg.geometry.sense * a]))
 
 
 def sample_grid(cfg: FieldConfiguration, n: int) -> list[FieldSample]:
     """n equally spaced samples over the support, endpoints inclusive."""
+    import numpy as np
+
     if n < 2:
         raise DomainError("need at least 2 samples")
     lo, hi = cfg.support
@@ -206,12 +222,9 @@ def displacement_current(cfg: FieldConfiguration, l: float) -> CurrentDecomposit
     ring = cfg.geometry
     frame = frenet_at(ring, l)
     a = amplitude_at(cfg, l)
-    if _outside_support(cfg, l):
-        da_dt = 0.0
-    else:
-        lw = l % ring.circumference
-        # envelope rate seen by the moving point: c a'(l)
-        da_dt = -cfg.sign * cfg.e_o * cfg.omega * math.sin(cfg.k_wave * lw + cfg.phase)
+    theta = _ring_phase(cfg, l)
+    # envelope rate seen by the moving point: c a'(l)
+    da_dt = 0.0 if theta is None else -cfg.sign * cfg.e_o * cfg.omega * math.sin(theta)
     inv4pi = 1.0 / (4.0 * math.pi)
     jn = -inv4pi * da_dt               # coefficient along the normal
     jtau = inv4pi * ring.omega_K * a   # coefficient along the tangent
@@ -222,12 +235,6 @@ def displacement_current(cfg: FieldConfiguration, l: float) -> CurrentDecomposit
         j_tau_scalar=jtau,
         complex_form=complex(jn, jtau),
     )
-
-
-def _outside_support(cfg: FieldConfiguration, l: float) -> bool:
-    lam = cfg.geometry.circumference
-    lw = l % lam
-    return lw > cfg.support[1] and not math.isclose(lw, cfg.support[1])
 
 
 def mass_current(e_scalar: float, omega: float) -> float:
@@ -256,8 +263,8 @@ def charge_density(cfg: FieldConfiguration, l: float) -> float:
 
 def energy_density(sample: FieldSample) -> float:
     """Electromagnetic energy density (E^2 + H^2)/8pi."""
-    e2 = float(np.dot(sample.E, sample.E))
-    h2 = float(np.dot(sample.H, sample.H))
+    e2 = float(sample.E @ sample.E)
+    h2 = float(sample.H @ sample.H)
     return (e2 + h2) / (8.0 * math.pi)
 
 

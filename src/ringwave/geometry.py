@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,11 @@ class RingGeometry:
     omega_K: float
     circumference: float
     handedness: str = "ccw"
+
+    @property
+    def sense(self) -> float:
+        """+1 for "ccw", -1 for "cw": the sign of the travel about +z."""
+        return 1.0 if self.handedness == "ccw" else -1.0
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,9 @@ def frenet_at(ring: RingGeometry, l: float) -> FrenetFrame:
 
     Periodic in l with period equal to the circumference.
     """
-    sense = 1.0 if ring.handedness == "ccw" else -1.0
+    import numpy as np
+
+    sense = ring.sense
     phi = sense * l / ring.r_k
     cp, sp = math.cos(phi), math.sin(phi)
     position = np.array([ring.r_k * cp, ring.r_k * sp, 0.0])

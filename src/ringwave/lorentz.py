@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import C_LIGHT, HBAR
 from .errors import DomainError, UnsupportedConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+_Vec3 = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,38 @@ class BoostReport:
     ratio_deviations: float
 
 
+def _dot(u: _Vec3, v: _Vec3) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u: _Vec3, v: _Vec3) -> _Vec3:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _norm(v: _Vec3) -> float:
+    return math.sqrt(_dot(v, v))
+
+
+def _boost_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
+    """Gaussian-unit field transformation on 3-tuples; see boost_plane_fields."""
+    b2 = _dot(beta, beta)
+    if b2 >= 1.0:
+        raise DomainError("|beta| must be below 1")
+    gamma = 1.0 / math.sqrt(1.0 - b2)
+    coef = gamma * gamma / (gamma + 1.0)
+    b_x_h = _cross(beta, h)
+    b_x_e = _cross(beta, e)
+    b_e = coef * _dot(beta, e)
+    b_h = coef * _dot(beta, h)
+    e_prime = tuple(gamma * (e[i] + b_x_h[i]) - b_e * beta[i] for i in range(3))
+    h_prime = tuple(gamma * (h[i] - b_x_e[i]) - b_h * beta[i] for i in range(3))
+    return e_prime, h_prime
+
+
 def boost_plane_fields(
     e_vec: np.ndarray,
     h_vec: np.ndarray,
@@ -68,48 +104,38 @@ def boost_plane_fields(
     Gaussian-unit law: E' = g(E + beta x H) - (g^2/(g+1))(beta . E) beta
     and the same with E <-> H, beta -> -beta under the cross product.
     """
-    b2 = float(np.dot(beta_vec, beta_vec))
-    if b2 >= 1.0:
-        raise DomainError("|beta| must be below 1")
-    gamma = 1.0 / math.sqrt(1.0 - b2)
-    coef = gamma * gamma / (gamma + 1.0)
-    e_prime = (
-        gamma * (e_vec + np.cross(beta_vec, h_vec))
-        - coef * float(np.dot(beta_vec, e_vec)) * beta_vec
-    )
-    h_prime = (
-        gamma * (h_vec - np.cross(beta_vec, e_vec))
-        - coef * float(np.dot(beta_vec, h_vec)) * beta_vec
-    )
-    return e_prime, h_prime
+    import numpy as np
+
+    e_prime, h_prime = _boost_fields(tuple(e_vec), tuple(h_vec), tuple(beta_vec))
+    return np.array(e_prime), np.array(h_prime)
 
 
-def _transverse_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _transverse_basis(direction: _Vec3) -> tuple[_Vec3, _Vec3]:
     """Deterministic orthonormal pair perpendicular to direction."""
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(float(np.dot(direction, ref))) > 0.9:
-        ref = np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(ref, direction)
-    e1 = e1 / np.linalg.norm(e1)
-    return e1, np.cross(direction, e1)
+    ref = (0.0, 0.0, 1.0)
+    if abs(_dot(direction, ref)) > 0.9:
+        ref = (1.0, 0.0, 0.0)
+    e1 = _cross(ref, direction)
+    n1 = _norm(e1)
+    e1 = tuple(x / n1 for x in e1)
+    return e1, _cross(direction, e1)
 
 
 def boost_packet(p: WavePacket, beta: float, axis: tuple[float, float, float]) -> BoostReport:
     """Boost the packet along a collinear axis and audit the invariants."""
-    if abs(beta) >= 1.0:
-        raise DomainError(f"|beta| must be below 1, got {beta}")
-    k_hat = np.array(p.direction)
-    ax = np.array(axis, dtype=float)
-    ax_norm = float(np.linalg.norm(ax))
+    if not math.isfinite(beta) or abs(beta) >= 1.0:
+        raise DomainError(f"|beta| must be a finite number below 1, got {beta}")
+    k_hat = p.direction
+    ax_norm = _norm(axis)
     if ax_norm == 0.0:
         raise DomainError("boost axis must be a nonzero vector")
-    ax = ax / ax_norm
-    if float(np.linalg.norm(np.cross(ax, k_hat))) > 1e-9:
+    ax = tuple(a / ax_norm for a in axis)
+    if _norm(_cross(ax, k_hat)) > 1e-9:
         raise UnsupportedConfigurationError(
             "only boosts collinear with the propagation direction are supported"
         )
     # signed speed along the propagation direction
-    b = beta if float(np.dot(ax, k_hat)) > 0.0 else -beta
+    b = beta if _dot(ax, k_hat) > 0.0 else -beta
     if b == 0.0:
         return BoostReport(beta=beta, primed=replace(p), ratio_deviations=0.0)
 
@@ -118,8 +144,12 @@ def boost_packet(p: WavePacket, beta: float, axis: tuple[float, float, float]) -
 
     # field-transformation route for the amplitude
     e1, h1 = _transverse_basis(k_hat)
-    e_prime, h_prime = boost_plane_fields(p.e_o * e1, p.e_o * h1, b * k_hat)
-    e_o_prime = float(np.linalg.norm(e_prime))
+    e_prime, h_prime = _boost_fields(
+        tuple(p.e_o * x for x in e1),
+        tuple(p.e_o * x for x in h1),
+        tuple(b * x for x in k_hat),
+    )
+    e_o_prime = _norm(e_prime)
     del h_prime  # magnitude equality is a tested property, not an input
 
     # photon count is frame-independent: energy = N hbar omega in every frame

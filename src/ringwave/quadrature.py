@@ -23,9 +23,8 @@ from .fields import (
     KIND_PHOTON,
     TWIRLED_KINDS,
     FieldConfiguration,
+    amplitude_at,
     charge_density,
-    field_at,
-    mass_density,
 )
 from .geometry import TorusShape
 
@@ -196,6 +195,15 @@ def total_charge(
     )
 
 
+def _mass_density(cfg: FieldConfiguration, l: float, c: float) -> float:
+    """Scalar form of fields.mass_density(field_at(cfg, l), c) on the ring.
+
+    |E| = |H| = |a(l)|, so (E^2 + H^2)/(8 pi c^2) = a^2/(4 pi c^2).
+    """
+    a = amplitude_at(cfg, l)
+    return a * a / (4.0 * math.pi) / (c * c)
+
+
 def total_mass(
     cfg: FieldConfiguration,
     shape: TorusShape,
@@ -214,8 +222,7 @@ def total_mass(
     c = cfg.omega / cfg.k_wave
     s_flat = math.pi * shape.r_c * shape.r_c
     s_used = section_measure(shape, spec)
-    density = lambda l: mass_density(field_at(cfg, l), c)
-    value = s_used * _lobe_integral(cfg, density, spec)
+    value = s_used * _lobe_integral(cfg, lambda l: _mass_density(cfg, l, c), spec)
     closed = cfg.e_o * cfg.e_o * s_flat / (4.0 * cfg.omega * c)
     return IntegralReport(
         value=value,

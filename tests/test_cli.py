@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -223,3 +224,33 @@ def test_parse_args_defaults():
     assert config.thomas is False
     config = parse_args(["consistency", "--panels", "128"])
     assert config.quadrature.panels == 128
+
+
+def test_non_finite_beta_grid_exits_2(capsys):
+    for grid in ("nan,0.5", "0.5,inf", "-inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", f"--beta-grid={grid}"])
+        assert exc.value.code == 2, grid
+        assert "finite" in capsys.readouterr().err
+
+
+def test_invariants_gate_fails_on_nan_deviation(capsys, monkeypatch):
+    import ringwave.cli as cli
+
+    real = cli.boost_packet
+
+    def nan_at_first_beta(packet, beta, axis):
+        report = real(packet, beta, axis)
+        if beta == -0.5:
+            report = dataclasses.replace(report, ratio_deviations=math.nan)
+        return report
+
+    monkeypatch.setattr(cli, "boost_packet", nan_at_first_beta)
+    grid = "--beta-grid=-0.5,0.5"
+    code, out, _ = run_cli(capsys, ["invariants", grid])
+    assert code == 1
+    assert "max deviation: nan" in out
+    assert out.rstrip().endswith("FAIL")
+    code, out, _ = run_cli(capsys, ["invariants", grid, "--format", "json"])
+    assert code == 1
+    assert '"pass": false' in out

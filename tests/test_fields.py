@@ -14,6 +14,7 @@ from ringwave import (
     displacement_current,
     energy_density,
     field_at,
+    frenet_at,
     mass_current,
     mass_density,
     pair_threshold_photon,
@@ -23,6 +24,7 @@ from ringwave import (
     semi_photon_model,
     twirled_field,
 )
+from ringwave.fields import amplitude_at
 
 K = codata_constants()
 RING = ring_from_radius(pair_threshold_photon(K).r_p, K.c)
@@ -244,3 +246,18 @@ def test_sample_grid_spacing_and_balance():
         assert abs(np.linalg.norm(s.E) - np.linalg.norm(s.H)) <= 1e-12 * AMP
     with pytest.raises(DomainError):
         sample_grid(cfg, 1)
+
+
+def test_closed_form_h_matches_cross_product_definition():
+    # H = -sense a z must agree with the vector definition a (tau x r_out)
+    for handedness in ("ccw", "cw"):
+        ring = ring_from_radius(RING.r_k, K.c, handedness)
+        for kind in (KIND_PHOTON, KIND_SEMI_PLUS):
+            cfg = twirled_field(kind, AMP, ring)
+            for l in np.linspace(-0.3, 1.3, 97) * cfg.wavelength:
+                s = field_at(cfg, float(l))
+                frame = frenet_at(ring, float(l))
+                a = amplitude_at(cfg, float(l))
+                reference = a * np.cross(frame.tangent, -frame.normal)
+                tol = 4.0 * math.ulp(abs(a))
+                assert np.max(np.abs(s.H - reference)) <= tol, (handedness, kind, l)

@@ -139,3 +139,33 @@ def test_sweep_trivial_and_empty():
     assert only_rest.ratio_deviations == 0.0
     with pytest.raises(DomainError):
         invariant_sweep(PACKET, [])
+
+
+def test_boost_is_the_same_along_every_coordinate_direction():
+    # (0, 0, 1) takes the other reference vector of the transverse basis
+    for beta in (-0.99, -0.6, 0.3, 0.9):
+        reports = []
+        for direction in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+            packet = WavePacket(PACKET.e_o, PACKET.omega, PACKET.energy,
+                                PACKET.volume, direction)
+            report = boost_packet(packet, beta, direction)
+            assert report.primed.direction == direction
+            p = report.primed
+            reports.append((p.e_o, p.omega, p.energy, p.volume, report.ratio_deviations))
+        assert reports[0] == reports[1] == reports[2], beta
+
+
+def test_non_finite_beta_is_rejected():
+    for beta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            boost_packet(PACKET, beta, PACKET.direction)
+
+
+def test_boost_plane_fields_returns_ndarrays():
+    e_p, h_p = boost_plane_fields(np.array([0.0, AMP, 0.0]), np.array([0.0, 0.0, AMP]),
+                                  np.array([0.6, 0.0, 0.0]))
+    assert isinstance(e_p, np.ndarray) and isinstance(h_p, np.ndarray)
+    assert e_p.shape == h_p.shape == (3,)
+    # the Doppler factor at beta = 0.6 is exactly 1/2
+    assert abs(e_p[1] / (0.5 * AMP) - 1.0) < 1e-15
+    assert abs(h_p[2] / (0.5 * AMP) - 1.0) < 1e-15

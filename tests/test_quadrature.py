@@ -14,7 +14,9 @@ from ringwave import (
     UnsupportedConfigurationError,
     angular_momentum,
     codata_constants,
+    field_at,
     integrate_line,
+    mass_density,
     pair_threshold_photon,
     plane_wave,
     ring_from_radius,
@@ -24,7 +26,7 @@ from ringwave import (
     total_mass,
     twirled_field,
 )
-from ringwave.quadrature import _GL5_NODES, _GL5_WEIGHTS
+from ringwave.quadrature import _GL5_NODES, _GL5_WEIGHTS, _mass_density
 
 K = codata_constants()
 SPEC = QuadratureSpec()
@@ -230,3 +232,21 @@ def test_spin_halves_sum_exactly():
     minus = semi_photon_model(1.0, K, sign="minus")
     assert plus.sigma_s == 0.5 * K.hbar
     assert plus.sigma_s + minus.sigma_s == K.hbar
+
+
+def test_scalar_mass_integrand_matches_field_definition():
+    # total_mass integrates a^2/(4 pi c^2); pin it to the vector route
+    # (E^2 + H^2)/(8 pi c^2) at every Gauss node of the lobe it integrates
+    model, _, _ = _electron_setup()
+    for handedness in ("ccw", "cw"):
+        ring = ring_from_radius(model.r_s, K.c, handedness)
+        for kind in (KIND_SEMI_PLUS, KIND_SEMI_MINUS):
+            cfg = twirled_field(kind, model.e_o, ring)
+            c = cfg.omega / cfg.k_wave
+            h = 0.25 * cfg.wavelength / SPEC.panels
+            for i in range(SPEC.panels):
+                for node in _GL5_NODES:
+                    l = (i + 0.5) * h + 0.5 * h * node
+                    scalar = _mass_density(cfg, l, c)
+                    vector = mass_density(field_at(cfg, l), c)
+                    assert abs(scalar - vector) <= 1e-15 * vector, (handedness, kind, l)
