@@ -21,7 +21,6 @@ from .errors import (
 )
 from .fields import (
     KIND_PHOTON,
-    KIND_PLANE,
     KIND_SEMI_MINUS,
     KIND_SEMI_PLUS,
     CurrentDecomposition,
@@ -31,28 +30,23 @@ from .fields import (
     displacement_current,
     energy_density,
     field_at,
-    mass_current,
     mass_density,
-    plane_wave,
     sample_grid,
     twirled_field,
 )
 from .geometry import (
     FrenetFrame,
     RingGeometry,
-    TorusMetrics,
     TorusShape,
     frenet_at,
     normal_rate,
     ring_from_radius,
-    torus_metrics,
 )
 from .lorentz import (
     BoostReport,
     WavePacket,
     boost_packet,
     boost_plane_fields,
-    invariant_sweep,
 )
 from .model import (
     InvariantConstants,
@@ -62,7 +56,6 @@ from .model import (
     invariant_constants,
     magnetic_moment,
     pair_threshold_photon,
-    photon_from_invariants,
     semi_photon_model,
     split_photon,
     uncertainty_min_length,
@@ -72,7 +65,6 @@ from .quadrature import (
     RULE_MIDPOINT,
     IntegralReport,
     QuadratureSpec,
-    angular_momentum,
     integrate_line,
     section_measure,
     total_charge,
@@ -80,8 +72,6 @@ from .quadrature import (
 )
 from .renorm import (
     VacuumPolarization,
-    charge_difference,
-    coulomb_energy,
     vacuum_polarization,
 )
 
@@ -97,7 +87,6 @@ __all__ = [
     "RingwaveError",
     "UnsupportedConfigurationError",
     "KIND_PHOTON",
-    "KIND_PLANE",
     "KIND_SEMI_MINUS",
     "KIND_SEMI_PLUS",
     "CurrentDecomposition",
@@ -107,24 +96,19 @@ __all__ = [
     "displacement_current",
     "energy_density",
     "field_at",
-    "mass_current",
     "mass_density",
-    "plane_wave",
     "sample_grid",
     "twirled_field",
     "FrenetFrame",
     "RingGeometry",
-    "TorusMetrics",
     "TorusShape",
     "frenet_at",
     "normal_rate",
     "ring_from_radius",
-    "torus_metrics",
     "BoostReport",
     "WavePacket",
     "boost_packet",
     "boost_plane_fields",
-    "invariant_sweep",
     "InvariantConstants",
     "PhotonModel",
     "SemiPhotonModel",
@@ -132,7 +116,6 @@ __all__ = [
     "invariant_constants",
     "magnetic_moment",
     "pair_threshold_photon",
-    "photon_from_invariants",
     "semi_photon_model",
     "split_photon",
     "uncertainty_min_length",
@@ -140,14 +123,11 @@ __all__ = [
     "RULE_MIDPOINT",
     "IntegralReport",
     "QuadratureSpec",
-    "angular_momentum",
     "integrate_line",
     "section_measure",
     "total_charge",
     "total_mass",
     "VacuumPolarization",
-    "charge_difference",
-    "coulomb_energy",
     "vacuum_polarization",
     "__version__",
 ]

@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import sys
+from typing import Callable
 
 from .constants import PhysicalConstants, codata_constants, electron_scales
 from .errors import RingwaveError
@@ -100,127 +101,96 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _zeta_arg(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 < v <= 1.0:
-        raise argparse.ArgumentTypeError("must be in (0, 1]")
-    return v
+def _ranged(kind: type, lo: float, hi: float, bounds: str) -> Callable[[str], float]:
+    """argparse type: a finite kind(text) in the interval lo..hi.
+
+    bounds gives the interval's brackets, "[" / "]" closed and "(" / ")"
+    open, as in "(]" for 0 < v <= 1.
+    """
+    interval = f"{bounds[0]}{lo:g}, {hi:g}{bounds[1]}"
+
+    def parse(text: str):
+        try:
+            v = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not {'an integer' if kind is int else 'a number'}: {text!r}")
+        inside = ((lo < v if bounds[0] == "(" else lo <= v)
+                  and (v < hi if bounds[1] == ")" else v <= hi))
+        if not (math.isfinite(v) and inside):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number in {interval}, got {v}")
+        return v
+
+    return parse
 
 
-def _samples_arg(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 2:
-        raise argparse.ArgumentTypeError("need at least 2 samples")
-    return v
-
-
-def _panels_arg(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError("panel count must be >= 1")
-    return v
-
-
-def _amplitude_arg(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if v <= 0.0:
-        raise argparse.ArgumentTypeError("amplitude must be positive")
-    return v
+_beta_arg = _ranged(float, -1.0, 1.0, "()")
 
 
 def _beta_grid_arg(text: str) -> tuple[float, ...]:
-    try:
-        betas = tuple(float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    betas = tuple(_beta_arg(part) for part in text.split(",") if part.strip() != "")
     if not betas:
         raise argparse.ArgumentTypeError("beta grid must not be empty")
-    for b in betas:
-        if not math.isfinite(b) or abs(b) >= 1.0:
-            raise argparse.ArgumentTypeError(
-                f"|beta| must be a finite number below 1, got {b}")
     return betas
 
 
 def parse_args(argv: list[str] | None = None) -> RunConfig:
-    """Parse and validate the command line into a RunConfig."""
+    """Parse and validate the command line into a RunConfig.
+
+    An option left out takes its default from RunConfig or QuadratureSpec.
+    """
     parser = argparse.ArgumentParser(
         prog="ringwave",
         description="Ring-wave model of the photon and the electron-positron pair",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-        p.add_argument("--format", choices=formats, default=formats[0])
+    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--format", choices=("table", "json"))
         p.add_argument("--out", help="write output to this path instead of stdout")
 
-    add_common(sub.add_parser("constants", help="universal constants table"),
-               ("table", "json"))
-    add_common(sub.add_parser("photon", help="pair-threshold photon record"),
-               ("table", "json"))
+    add_common(add_parser("constants", "universal constants table"))
+    add_common(add_parser("photon", "pair-threshold photon record"))
 
-    p_semi = sub.add_parser("semiphoton", help="semi-photon record and renormalization")
-    p_semi.add_argument("--zeta", type=_zeta_arg, default=1.0,
-                        help="torus thinness ratio in (0, 1], default 1")
+    p_semi = add_parser("semiphoton", "semi-photon record and renormalization")
+    p_semi.add_argument("--zeta", type=_ranged(float, 0.0, 1.0, "(]"),
+                        help="torus thinness ratio in (0, 1], default"
+                             f" {RunConfig.zeta:g}")
     p_semi.add_argument("--thomas", action="store_true",
                         help="apply the Thomas-precession factor 2 to mu_s")
-    add_common(p_semi, ("table", "json"))
+    add_common(p_semi)
 
-    p_inv = sub.add_parser("invariants", help="Lorentz-boost invariance sweep")
-    p_inv.add_argument("--beta-grid", type=_beta_grid_arg,
-                       default=DEFAULT_BETA_GRID, metavar="B1,B2,...",
+    p_inv = add_parser("invariants", "Lorentz-boost invariance sweep")
+    p_inv.add_argument("--beta-grid", type=_beta_grid_arg, metavar="B1,B2,...",
                        help="comma-separated boost speeds, each |beta| < 1")
-    add_common(p_inv, ("table", "json"))
+    add_common(p_inv)
 
-    p_fields = sub.add_parser("fields", help="sample E, H, and currents to CSV")
-    p_fields.add_argument("--kind", choices=sorted(_KIND_MAP), default="photon")
-    p_fields.add_argument("--samples", type=_samples_arg, default=256)
-    p_fields.add_argument("--amplitude", type=_amplitude_arg, default=None,
+    p_fields = add_parser("fields", "sample E, H, and currents to CSV")
+    p_fields.add_argument("--kind", choices=sorted(_KIND_MAP))
+    p_fields.add_argument("--samples", type=_ranged(int, 2, math.inf, "[)"))
+    p_fields.add_argument("--amplitude", type=_ranged(float, 0.0, math.inf, "()"),
                           help="field amplitude in statV/cm; default is the"
                                " zeta=1 semi-photon amplitude")
     p_fields.add_argument("--out", help="write CSV to this path instead of stdout")
 
-    p_cons = sub.add_parser("consistency",
-                            help="integrated charge/mass vs stated closed forms")
-    p_cons.add_argument("--panels", type=_panels_arg, default=64)
-    p_cons.add_argument("--rule", choices=(RULE_GAUSS5, RULE_MIDPOINT),
-                        default=RULE_GAUSS5)
+    p_cons = add_parser("consistency", "integrated charge/mass vs stated closed forms")
+    p_cons.add_argument("--panels", type=_ranged(int, 1, math.inf, "[)"))
+    p_cons.add_argument("--rule", choices=(RULE_GAUSS5, RULE_MIDPOINT))
     p_cons.add_argument("--toroidal-jacobian", action="store_true",
+                        dest="include_toroidal_jacobian",
                         help="integrate the exact torus volume element")
-    add_common(p_cons, ("table", "json"))
+    add_common(p_cons)
 
-    add_common(sub.add_parser("dispersion", help="dispersion relation and "
-                              "uncertainty bound"), ("table", "json"))
+    add_common(add_parser("dispersion", "dispersion relation and uncertainty bound"))
 
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        zeta=getattr(ns, "zeta", 1.0),
-        format=getattr(ns, "format", "table"),
-        out=getattr(ns, "out", None),
-        quadrature=QuadratureSpec(
-            panels=getattr(ns, "panels", 64),
-            rule=getattr(ns, "rule", RULE_GAUSS5),
-            include_toroidal_jacobian=getattr(ns, "toroidal_jacobian", False),
-        ),
-        thomas=getattr(ns, "thomas", False),
-        kind=getattr(ns, "kind", "photon"),
-        samples=getattr(ns, "samples", 256),
-        beta_grid=tuple(getattr(ns, "beta_grid", DEFAULT_BETA_GRID)),
-        amplitude=getattr(ns, "amplitude", None),
-    )
+    ns = vars(parser.parse_args(argv))
+    quadrature = {f.name: ns.pop(f.name)
+                  for f in dataclasses.fields(QuadratureSpec) if f.name in ns}
+    return RunConfig(quadrature=QuadratureSpec(**quadrature), **ns)
 
 
 def _constants_data(k: PhysicalConstants) -> list[tuple[str, float, str]]:
@@ -234,7 +204,7 @@ def _constants_data(k: PhysicalConstants) -> list[tuple[str, float, str]]:
         ("alpha_exp", k.alpha_exp, ""),
         ("r_0", scales.r_0, "cm"),
         ("lambda_bar_c", scales.lambda_bar_c, "cm"),
-        ("r_c", scales.r_c, "cm"),
+        ("r_c", scales.lambda_bar_c, "cm"),
     ]
 
 

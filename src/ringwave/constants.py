@@ -57,12 +57,10 @@ class ElectronScales:
 
     r_0 : classical electron radius, e^2 / (m_e c^2)
     lambda_bar_c : reduced Compton wavelength, hbar / (m_e c)
-    r_c : alias of lambda_bar_c (the two coincide by definition)
     """
 
     r_0: float
     lambda_bar_c: float
-    r_c: float
 
 
 def codata_constants() -> PhysicalConstants:
@@ -81,4 +79,4 @@ def electron_scales(k: PhysicalConstants) -> ElectronScales:
     """Derive the classical radius and reduced Compton wavelength from k."""
     lam = k.hbar / (k.m_e * k.c)
     r_0 = k.e * k.e / (k.m_e * k.c * k.c)
-    return ElectronScales(r_0=r_0, lambda_bar_c=lam, r_c=lam)
+    return ElectronScales(r_0=r_0, lambda_bar_c=lam)

@@ -24,30 +24,28 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .constants import C_LIGHT
-from .errors import DomainError, UnsupportedConfigurationError
+from .errors import DomainError
 from .geometry import RingGeometry, frenet_at
 
 if TYPE_CHECKING:
     import numpy as np
 
-KIND_PLANE = "plane"
 KIND_PHOTON = "twirled_photon"
 KIND_SEMI_PLUS = "semi_photon_plus"
 KIND_SEMI_MINUS = "semi_photon_minus"
 
 TWIRLED_KINDS = (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS)
-ALL_KINDS = (KIND_PLANE,) + TWIRLED_KINDS
 
 
 @dataclass(frozen=True)
 class FieldConfiguration:
     """Immutable description of one wave configuration.
 
-    kind : one of plane / twirled_photon / semi_photon_plus / semi_photon_minus
-    e_o : field amplitude (statV/cm)
+    kind : one of twirled_photon / semi_photon_plus / semi_photon_minus
+    e_o : field amplitude (statV/cm), positive
     omega : circular frequency (rad/s)
     k_wave : wave number omega/c (1/cm)
-    geometry : the ring for twirled kinds, None for the plane wave
+    geometry : the ring the wave is wound on
     support : arc-length interval carrying the field, [0, lambda] for the
         photon and [0, lambda/2] for the semi-photon kinds
     phase : phase offset added to k*l (rad)
@@ -57,9 +55,15 @@ class FieldConfiguration:
     e_o: float
     omega: float
     k_wave: float
-    geometry: RingGeometry | None
+    geometry: RingGeometry
     support: tuple[float, float]
     phase: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in TWIRLED_KINDS:
+            raise DomainError(f"not a twirled kind: {self.kind!r}")
+        if self.e_o <= 0.0:
+            raise DomainError("field amplitude must be positive")
 
     @property
     def wavelength(self) -> float:
@@ -96,27 +100,6 @@ class CurrentDecomposition:
     complex_form: complex
 
 
-def plane_wave(e_o: float, omega: float, c: float = C_LIGHT) -> FieldConfiguration:
-    """Plane wave along +x with E along +y and H along +z.
-
-    Kept mainly as the negative case for the ring-only operations and
-    as the raw material the twirled kinds are wound from.
-    """
-    if e_o <= 0.0:
-        raise DomainError("field amplitude must be positive")
-    if omega <= 0.0:
-        raise DomainError("frequency must be positive")
-    k = omega / c
-    return FieldConfiguration(
-        kind=KIND_PLANE,
-        e_o=e_o,
-        omega=omega,
-        k_wave=k,
-        geometry=None,
-        support=(0.0, 2.0 * math.pi / k),
-    )
-
-
 def twirled_field(
     kind: str,
     e_o: float,
@@ -129,10 +112,6 @@ def twirled_field(
     circumference holds exactly one wavelength.  Semi-photon kinds get
     half the ring as support.
     """
-    if kind not in TWIRLED_KINDS:
-        raise DomainError(f"not a twirled kind: {kind!r}")
-    if e_o <= 0.0:
-        raise DomainError("field amplitude must be positive")
     lam = ring.circumference
     hi = lam if kind == KIND_PHOTON else 0.5 * lam
     return FieldConfiguration(
@@ -149,17 +128,15 @@ def twirled_field(
 def amplitude_at(cfg: FieldConfiguration, l: float) -> float:
     """Signed radial field amplitude a(l) = sign * E_o cos(k l + phase).
 
-    Zero outside the configured support (after wrapping l by one
-    circumference for ring kinds).  The plane wave is unbounded.
+    Zero outside the configured support, after wrapping l by one
+    circumference.
     """
-    if cfg.kind == KIND_PLANE:
-        return cfg.e_o * math.cos(cfg.k_wave * l + cfg.phase)
     theta = _ring_phase(cfg, l)
     return 0.0 if theta is None else cfg.sign * cfg.e_o * math.cos(theta)
 
 
 def _ring_phase(cfg: FieldConfiguration, l: float) -> float | None:
-    """Phase k l + phase of a ring kind, l wrapped by one circumference.
+    """Phase k l + phase, l wrapped by one circumference.
 
     None outside the configured support, which ends at support[1] give
     or take rounding.
@@ -173,21 +150,14 @@ def _ring_phase(cfg: FieldConfiguration, l: float) -> float | None:
 def field_at(cfg: FieldConfiguration, l: float) -> FieldSample:
     """E and H vectors at arc length l.
 
-    Ring kinds: E = a(l) * r_out, H = a(l) * (tau x r_out), so that
-    E x H points along the direction of travel and |E| = |H| holds
-    pointwise.  In the ring plane tau x r_out = -sense z (sense +1 for
-    "ccw", -1 for "cw"), so H = -sense a(l) z.  Plane kind:
-    E = a(l) y, H = a(l) z at position (l,0,0).
+    E = a(l) * r_out, H = a(l) * (tau x r_out), so that E x H points
+    along the direction of travel and |E| = |H| holds pointwise.  In the
+    ring plane tau x r_out = -sense z (sense +1 for "ccw", -1 for "cw"),
+    so H = -sense a(l) z.
     """
     import numpy as np
 
     a = amplitude_at(cfg, l)
-    if cfg.kind == KIND_PLANE:
-        return FieldSample(
-            l=l,
-            E=np.array([0.0, a, 0.0]),
-            H=np.array([0.0, 0.0, a]),
-        )
     r_out = -frenet_at(cfg.geometry, l).normal
     return FieldSample(l=l, E=a * r_out, H=np.array([0.0, 0.0, -cfg.geometry.sense * a]))
 
@@ -214,11 +184,6 @@ def displacement_current(cfg: FieldConfiguration, l: float) -> CurrentDecomposit
     radial rate of the envelope, the second the curvature (ring
     current) term.  Both vanish outside the support.
     """
-    if cfg.kind not in TWIRLED_KINDS:
-        raise UnsupportedConfigurationError(
-            "displacement current split needs ring curvature; "
-            f"got kind {cfg.kind!r}"
-        )
     ring = cfg.geometry
     frame = frenet_at(ring, l)
     a = amplitude_at(cfg, l)
@@ -237,27 +202,11 @@ def displacement_current(cfg: FieldConfiguration, l: float) -> CurrentDecomposit
     )
 
 
-def mass_current(e_scalar: float, omega: float) -> float:
-    """Tangential (material) current density (omega/4pi) E.
-
-    Magnitude of the curvature term of the displacement current; the
-    factor i of the complex form is the quarter-turn from normal to
-    tangent.
-    """
-    if omega <= 0.0:
-        raise DomainError("frequency must be positive")
-    return omega / (4.0 * math.pi) * e_scalar
-
-
 def charge_density(cfg: FieldConfiguration, l: float) -> float:
     """Charge density rho_p(l) = (1/4pi)(omega/c) E(l) = (1/4pi) E(l)/r.
 
     Signed with the field, so it flips every half period.
     """
-    if cfg.kind not in TWIRLED_KINDS:
-        raise UnsupportedConfigurationError(
-            f"charge density is defined for ring kinds only, got {cfg.kind!r}"
-        )
     return cfg.k_wave / (4.0 * math.pi) * amplitude_at(cfg, l)
 
 

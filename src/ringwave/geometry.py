@@ -77,14 +77,10 @@ class TorusShape:
     def zeta(self) -> float:
         return self.r_c / self.r_s
 
-
-@dataclass(frozen=True)
-class TorusMetrics:
-    """Measures of a torus: solid volume, section area, centreline length."""
-
-    volume: float
-    section_area: float
-    ring_length: float
+    @property
+    def section_area(self) -> float:
+        """Flat cross-section measure pi r_c^2."""
+        return math.pi * self.r_c * self.r_c
 
 
 def ring_from_radius(r_k: float, c: float, handedness: str = "ccw") -> RingGeometry:
@@ -131,13 +127,3 @@ def normal_rate(ring: RingGeometry, v: float, l: float) -> np.ndarray:
     frame = frenet_at(ring, l)
     return -v * ring.K * frame.tangent
 
-
-def torus_metrics(shape: TorusShape) -> TorusMetrics:
-    """Volume 2 pi^2 r_s r_c^2, section area pi r_c^2, length 2 pi r_s."""
-    section = math.pi * shape.r_c * shape.r_c
-    ring_length = 2.0 * math.pi * shape.r_s
-    return TorusMetrics(
-        volume=section * ring_length,
-        section_area=section,
-        ring_length=ring_length,
-    )

@@ -175,14 +175,3 @@ def boost_packet(p: WavePacket, beta: float, axis: tuple[float, float, float]) -
     )
     return BoostReport(beta=beta, primed=primed, ratio_deviations=max(deviations))
 
-
-def invariant_sweep(p: WavePacket, betas: list[float]) -> BoostReport:
-    """Boost along the propagation direction for every beta; worst report."""
-    if not betas:
-        raise DomainError("beta sweep must not be empty")
-    worst = None
-    for beta in betas:
-        report = boost_packet(p, beta, p.direction)
-        if worst is None or report.ratio_deviations > worst.ratio_deviations:
-            worst = report
-    return worst

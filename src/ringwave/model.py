@@ -121,15 +121,6 @@ def invariant_constants(
     return InvariantConstants(c1=e_o / omega, c2=energy / omega, c3=volume * omega)
 
 
-def photon_from_invariants(
-    ic: InvariantConstants, omega: float
-) -> tuple[float, float, float]:
-    """Invert the invariants at a chosen frequency: (E_o, energy, volume)."""
-    if omega <= 0.0:
-        raise DomainError("frequency must be positive")
-    return ic.c1 * omega, ic.c2 * omega, ic.c3 / omega
-
-
 def uncertainty_min_length(energy: float, k: PhysicalConstants) -> tuple[float, float]:
     """Smallest packet length allowed by the uncertainty relation.
 
@@ -186,18 +177,22 @@ def semi_photon_model(
 
     m_s = m_e is the imposed anchor; the amplitude E_o is solved from
     the mass closed form m_s = E_o^2 S_c/(4 omega_s c) with
-    S_c = pi zeta^2 r_s^2.  The spin is hbar/2 by construction: r_s is
-    defined as (hbar/2)/(m_e c), i.e. sigma_s/p_s.
+    S_c = pi zeta^2 r_s^2.  Radius and frequency are those of the
+    pair-threshold photon.  The spin is hbar/2 by construction: r_s =
+    hbar/(2 m_e c) is sigma_s/p_s.  Raises EvaluationError when zeta is
+    so small that E_o overflows.
     """
     if not 0.0 < zeta <= 1.0:
         raise DomainError(f"zeta must lie in (0, 1], got {zeta}")
     if sign not in (SIGN_PLUS, SIGN_MINUS):
         raise DomainError(f"sign must be plus or minus, got {sign!r}")
-    r_s = k.hbar / (2.0 * k.m_e * k.c)
-    omega_s = 2.0 * k.m_e * k.c * k.c / k.hbar
+    photon = pair_threshold_photon(k)
+    r_s, omega_s = photon.r_p, photon.omega_p
     m_s = k.m_e
     s_c = math.pi * (zeta * r_s) ** 2
-    e_o = math.sqrt(4.0 * m_s * omega_s * k.c / s_c)
+    e_o = math.sqrt(4.0 * m_s * omega_s * k.c / s_c) if s_c > 0.0 else math.inf
+    if not math.isfinite(e_o):
+        raise EvaluationError(f"field amplitude E_o overflows at zeta = {zeta}")
     q_mag = zeta * zeta * e_o * r_s * r_s
     q_s = q_mag if sign == SIGN_PLUS else -q_mag
     return SemiPhotonModel(

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, EvaluationError, UnsupportedConfigurationError
-from .fields import (
-    KIND_PHOTON,
-    TWIRLED_KINDS,
-    FieldConfiguration,
-    amplitude_at,
-    charge_density,
-)
+from .fields import KIND_PHOTON, FieldConfiguration, amplitude_at, charge_density
 from .geometry import TorusShape
 
 RULE_GAUSS5 = "gauss_legendre_5"
@@ -133,9 +127,8 @@ def section_measure(shape: TorusShape, spec: QuadratureSpec) -> float:
     d rho d theta, whose cos theta term integrates to zero exactly, so
     the two agree for any density constant across the section.
     """
-    flat = math.pi * shape.r_c * shape.r_c
     if not spec.include_toroidal_jacobian:
-        return flat
+        return shape.section_area
 
     def over_theta(rho: float) -> float:
         jac = lambda theta: (1.0 + (rho / shape.r_s) * math.cos(theta)) * rho
@@ -175,11 +168,7 @@ def total_charge(
     lobe value is E_o S_c / 2pi, half the stated closed form; the
     factor is reported, and the closed form stays canonical downstream.
     """
-    if cfg.kind not in TWIRLED_KINDS:
-        raise UnsupportedConfigurationError(
-            f"charge is defined for ring kinds only, got {cfg.kind!r}"
-        )
-    s_flat = math.pi * shape.r_c * shape.r_c
+    s_flat = shape.section_area
     s_used = section_measure(shape, spec)
     value = s_used * _lobe_integral(cfg, lambda l: charge_density(cfg, l), spec)
     if cfg.kind == KIND_PHOTON:
@@ -215,12 +204,12 @@ def total_mass(
     half of it, the same factor the charge shows; reported, not
     absorbed.
     """
-    if cfg.kind not in TWIRLED_KINDS or cfg.kind == KIND_PHOTON:
+    if cfg.kind == KIND_PHOTON:
         raise UnsupportedConfigurationError(
             f"mass integral is defined for semi-photon kinds, got {cfg.kind!r}"
         )
     c = cfg.omega / cfg.k_wave
-    s_flat = math.pi * shape.r_c * shape.r_c
+    s_flat = shape.section_area
     s_used = section_measure(shape, spec)
     value = s_used * _lobe_integral(cfg, lambda l: _mass_density(cfg, l, c), spec)
     closed = cfg.e_o * cfg.e_o * s_flat / (4.0 * cfg.omega * c)
@@ -232,9 +221,3 @@ def total_mass(
         section_factor=s_used / s_flat,
     )
 
-
-def angular_momentum(p: float, r: float) -> float:
-    """Spin of a point momentum p on a circle of radius r: p*r."""
-    if p < 0.0 or r < 0.0:
-        raise DomainError("momentum and radius must be non-negative")
-    return p * r

@@ -38,15 +38,6 @@ class VacuumPolarization:
     r_0: float
 
 
-def coulomb_energy(q1: float, q2: float, r: float, eps: float) -> float:
-    """Potential energy q1 q2 / (eps r) of two charges in a dielectric."""
-    if r <= 0.0:
-        raise DomainError("separation must be positive")
-    if eps <= 0.0:
-        raise DomainError("permittivity must be positive")
-    return q1 * q2 / (eps * r)
-
-
 def vacuum_polarization(alpha_bare: float, k: PhysicalConstants) -> VacuumPolarization:
     """Screen a bare coupling down to the measured one.
 
@@ -69,9 +60,3 @@ def vacuum_polarization(alpha_bare: float, k: PhysicalConstants) -> VacuumPolari
         r_0=scales.r_0,
     )
 
-
-def charge_difference(q_bare: float, q_scr: float) -> float:
-    """Observable charge as the bare minus the screening cloud."""
-    if not (math.isfinite(q_bare) and math.isfinite(q_scr)):
-        raise DomainError("charges must be finite")
-    return q_bare - q_scr

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from ringwave import codata_constants, pair_threshold_photon
-from ringwave.cli import main, parse_args
+from ringwave import QuadratureSpec, codata_constants, pair_threshold_photon
+from ringwave.cli import RunConfig, main, parse_args
 
 K = codata_constants()
 PHOTON = pair_threshold_photon(K)
@@ -24,9 +24,16 @@ def test_usage_errors_exit_2(capsys):
         ["constants", "--format", "yaml"],
         ["semiphoton", "--zeta", "1.5"],
         ["semiphoton", "--zeta", "abc"],
+        ["semiphoton", "--zeta", "nan"],
+        ["semiphoton", "--zeta", "0"],
         ["fields", "--samples", "1"],
+        ["fields", "--samples", "2.5"],
         ["fields", "--amplitude", "-3"],
+        ["fields", "--amplitude", "0"],
+        ["fields", "--amplitude", "nan"],
+        ["fields", "--amplitude", "inf"],
         ["invariants", "--beta-grid", "0.5,1.5"],
+        ["invariants", "--beta-grid", "0.5,-1"],
         ["invariants", "--beta-grid", ",,"],
         ["consistency", "--panels", "0"],
     ):
@@ -224,6 +231,30 @@ def test_parse_args_defaults():
     assert config.thomas is False
     config = parse_args(["consistency", "--panels", "128"])
     assert config.quadrature.panels == 128
+    # every option left out takes the dataclass default
+    for command in ("constants", "photon", "semiphoton", "invariants",
+                    "fields", "consistency", "dispersion"):
+        assert parse_args([command]) == RunConfig(command=command)
+    assert parse_args(["consistency"]).quadrature == QuadratureSpec()
+
+
+def test_range_edges_are_accepted():
+    assert parse_args(["semiphoton", "--zeta", "1"]).zeta == 1.0
+    assert parse_args(["fields", "--samples", "2"]).samples == 2
+    assert parse_args(["consistency", "--panels", "1"]).quadrature.panels == 1
+    assert parse_args(["fields", "--amplitude", "1e-300"]).amplitude == 1e-300
+    assert parse_args(["invariants", "--beta-grid=-0.999,0"]).beta_grid == (-0.999, 0.0)
+
+
+def test_semiphoton_amplitude_overflow_exits_1(capsys):
+    # E_o overflows (1e-150) or the section area underflows (1e-200)
+    for zeta in ("1e-150", "1e-200"):
+        for fmt in ("table", "json"):
+            code, out, err = run_cli(capsys, ["semiphoton", "--zeta", zeta,
+                                              "--format", fmt])
+            assert code == 1, (zeta, fmt)
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_non_finite_beta_grid_exits_2(capsys):

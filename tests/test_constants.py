@@ -41,7 +41,6 @@ def test_electron_scales_against_recomputed_values():
     # hbar/(m_e c) and e^2/(m_e c^2) evaluated independently
     assert abs(s.lambda_bar_c / 3.861592679608906e-11 - 1.0) < 1e-12
     assert abs(s.r_0 / 2.8179403246707885e-13 - 1.0) < 1e-12
-    assert s.r_c == s.lambda_bar_c
 
 
 def test_classical_radius_is_alpha_times_compton():

@@ -8,17 +8,15 @@ from ringwave import (
     KIND_SEMI_MINUS,
     KIND_SEMI_PLUS,
     DomainError,
-    UnsupportedConfigurationError,
+    FieldConfiguration,
     charge_density,
     codata_constants,
     displacement_current,
     energy_density,
     field_at,
     frenet_at,
-    mass_current,
     mass_density,
     pair_threshold_photon,
-    plane_wave,
     ring_from_radius,
     sample_grid,
     semi_photon_model,
@@ -49,8 +47,6 @@ def test_amplitude_must_be_positive():
         twirled_field(KIND_PHOTON, 0.0, RING)
     with pytest.raises(DomainError):
         twirled_field("spiral", AMP, RING)
-    with pytest.raises(DomainError):
-        plane_wave(-1.0, 1.0)
 
 
 def test_field_magnitude_at_crest_and_node():
@@ -166,11 +162,12 @@ def test_complex_form_collects_both_scalars():
     assert abs(dec.complex_form) > 0.0
 
 
-def test_plane_wave_has_no_current_split():
-    with pytest.raises(UnsupportedConfigurationError):
-        displacement_current(plane_wave(1.0, 1.0), 0.0)
-    with pytest.raises(UnsupportedConfigurationError):
-        charge_density(plane_wave(1.0, 1.0), 0.0)
+def test_plane_kind_is_rejected():
+    # every configuration is wound on a ring; an unwound plane wave has
+    # no curvature term, no charge density, and no kind of its own
+    with pytest.raises(DomainError):
+        FieldConfiguration(kind="plane", e_o=1.0, omega=K.c, k_wave=1.0,
+                           geometry=RING, support=(0.0, 2.0 * math.pi))
 
 
 def test_finite_difference_reproduces_current_vector():
@@ -203,16 +200,17 @@ def test_mass_current_matches_tangential_term():
     for l in (0.0, 0.11 * cfg.wavelength, 0.35 * cfg.wavelength):
         tau_mag = np.linalg.norm(displacement_current(cfg, l).j_tau)
         e_mag = np.linalg.norm(field_at(cfg, l).E)
-        assert abs(tau_mag - mass_current(e_mag, cfg.omega)) <= 1e-12 * RING.omega_K * AMP
+        mass_current = cfg.omega / (4.0 * math.pi) * e_mag
+        assert abs(tau_mag - mass_current) <= 1e-12 * RING.omega_K * AMP
 
 
 def test_mass_current_values():
-    assert mass_current(0.0, 1.0) == 0.0
     # omega/4pi at the electron frequency, evaluated independently
-    omega = 2.0 * K.m_e * K.c * K.c / K.hbar
-    assert abs(mass_current(1.0, omega) / 1.2355899638074137e20 - 1.0) < 1e-12
-    with pytest.raises(DomainError):
-        mass_current(1.0, 0.0)
+    crest = displacement_current(twirled_field(KIND_PHOTON, 1.0, RING), 0.0)
+    assert abs(crest.j_tau_scalar / 1.2355899638074137e20 - 1.0) < 1e-12
+    # no field, no mass current: the far half of a semi-photon's ring
+    semi = twirled_field(KIND_SEMI_PLUS, 1.0, RING)
+    assert displacement_current(semi, 0.75 * semi.wavelength).j_tau_scalar == 0.0
 
 
 def test_charge_density_profile():

@@ -10,7 +10,7 @@ from ringwave import (
     frenet_at,
     normal_rate,
     ring_from_radius,
-    torus_metrics,
+    semi_photon_model,
 )
 
 K = codata_constants()
@@ -111,17 +111,15 @@ def test_tangent_derivative_is_curvature_times_normal():
 
 def test_torus_metrics_values():
     shape = TorusShape(r_s=2.0, r_c=0.5)
-    m = torus_metrics(shape)
-    assert abs(m.section_area / (math.pi * 0.25) - 1.0) < 1e-15
-    assert abs(m.ring_length / (4.0 * math.pi) - 1.0) < 1e-15
-    assert abs(m.volume / (math.pi * 0.25 * 4.0 * math.pi) - 1.0) < 1e-15
+    assert abs(shape.section_area / (math.pi * 0.25) - 1.0) < 1e-15
 
 
 def test_degenerate_torus_volume():
-    r = 1.930796339804453e-11
-    m = torus_metrics(TorusShape(r_s=r, r_c=r))
-    # 2 pi^2 r^3 evaluated independently
-    assert abs(m.volume / 1.4208202612586974e-31 - 1.0) < 1e-12
+    # the zeta = 1 semi-photon fills the horn torus of radius r_p:
+    # 2 pi^2 r_p^3, evaluated independently
+    semi = semi_photon_model(1.0, K)
+    assert abs(semi.r_s / 1.930796339804453e-11 - 1.0) < 1e-12
+    assert abs(semi.volume / 1.4208202612586974e-31 - 1.0) < 1e-12
 
 
 def test_zeta_ratio_and_bounds():

@@ -1,20 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from ringwave import (
-    BoostReport,
     DomainError,
     UnsupportedConfigurationError,
     WavePacket,
     boost_packet,
     boost_plane_fields,
     codata_constants,
-    invariant_sweep,
     pair_threshold_photon,
     semi_photon_model,
 )
+from ringwave.cli import main
 
 K = codata_constants()
 PHOTON = pair_threshold_photon(K)
@@ -125,20 +125,15 @@ def test_boost_domain_errors():
         boost_plane_fields(np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0]))
 
 
-def test_sweep_selects_worst_report():
+def test_sweep_selects_worst_report(capsys):
+    # the sweep is the invariants subcommand; its gate is the worst boost
     betas = [0.0, 0.1, 0.6, 0.95]
-    worst = invariant_sweep(PACKET, betas)
+    assert main(["invariants", "--format", "json",
+                 "--beta-grid=" + ",".join(map(str, betas))]) == 0
+    swept = json.loads(capsys.readouterr().out)
     individual = [boost_packet(PACKET, b, PACKET.direction) for b in betas]
-    assert worst.ratio_deviations == max(r.ratio_deviations for r in individual)
-    assert isinstance(worst, BoostReport)
-
-
-def test_sweep_trivial_and_empty():
-    only_rest = invariant_sweep(PACKET, [0.0])
-    assert only_rest.beta == 0.0
-    assert only_rest.ratio_deviations == 0.0
-    with pytest.raises(DomainError):
-        invariant_sweep(PACKET, [])
+    assert swept["max_deviation"] == max(r.ratio_deviations for r in individual)
+    assert [f["omega"] for f in swept["frames"]] == [r.primed.omega for r in individual]
 
 
 def test_boost_is_the_same_along_every_coordinate_direction():

@@ -11,7 +11,6 @@ from ringwave import (
     invariant_constants,
     magnetic_moment,
     pair_threshold_photon,
-    photon_from_invariants,
     semi_photon_model,
     split_photon,
     uncertainty_min_length,
@@ -54,13 +53,16 @@ def test_invariant_constants_of_threshold_photon():
 
 
 def test_invariants_linear_in_frequency():
+    # E_o and energy scale with omega, volume with 1/omega: doubling the
+    # frequency leaves all three ratios where they were
     ic = invariant_constants(2.5, PHOTON.omega_p, PHOTON.energy, PHOTON.volume)
-    e_o, energy, volume = photon_from_invariants(ic, 2.0 * PHOTON.omega_p)
-    assert abs(e_o / 5.0 - 1.0) < 1e-14
-    assert abs(energy / (2.0 * PHOTON.energy) - 1.0) < 1e-14
-    assert abs(volume / (0.5 * PHOTON.volume) - 1.0) < 1e-14
+    doubled = invariant_constants(5.0, 2.0 * PHOTON.omega_p, 2.0 * PHOTON.energy,
+                                  0.5 * PHOTON.volume)
+    assert abs(doubled.c1 / ic.c1 - 1.0) < 1e-14
+    assert abs(doubled.c2 / ic.c2 - 1.0) < 1e-14
+    assert abs(doubled.c3 / ic.c3 - 1.0) < 1e-14
     with pytest.raises(DomainError):
-        photon_from_invariants(ic, -1.0)
+        invariant_constants(5.0, -1.0, 2.0 * PHOTON.energy, 0.5 * PHOTON.volume)
 
 
 def test_uncertainty_bound_equals_threshold_wavelength():
@@ -124,6 +126,20 @@ def test_semi_photon_zeta_bounds():
         semi_photon_model(1.2, K)
     with pytest.raises(DomainError):
         semi_photon_model(1.0, K, sign="neutral")
+
+
+def test_semi_photon_amplitude_overflow_is_an_error():
+    # E_o grows as 1/zeta; near zeta = 1e-141 it leaves the double range
+    # (at 1e-200 the section area underflows to 0 first)
+    assert math.isfinite(semi_photon_model(1e-140, K).e_o)
+    for zeta in (1e-150, 1e-200, 5e-324):
+        with pytest.raises(EvaluationError):
+            semi_photon_model(zeta, K)
+
+
+def test_semi_photon_scales_are_the_threshold_photons():
+    m = semi_photon_model(0.5, K)
+    assert (m.r_s, m.omega_s) == (PHOTON.r_p, PHOTON.omega_p)
 
 
 def test_minus_sign_flips_charge_and_moment():

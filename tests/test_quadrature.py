@@ -12,13 +12,11 @@ from ringwave import (
     RULE_MIDPOINT,
     TorusShape,
     UnsupportedConfigurationError,
-    angular_momentum,
     codata_constants,
     field_at,
     integrate_line,
     mass_density,
     pair_threshold_photon,
-    plane_wave,
     ring_from_radius,
     section_measure,
     semi_photon_model,
@@ -168,11 +166,6 @@ def test_panel_doubling_is_converged():
     assert abs(v128 / v64 - 1.0) < 1e-12
 
 
-def test_charge_needs_ring_kind():
-    with pytest.raises(UnsupportedConfigurationError):
-        total_charge(plane_wave(1.0, 1.0), TorusShape(r_s=1.0, r_c=1.0), SPEC)
-
-
 def test_mass_closed_form_recovers_electron_mass():
     model, ring, shape = _electron_setup()
     cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
@@ -193,8 +186,6 @@ def test_mass_defined_for_semi_kinds_only():
     model, ring, shape = _electron_setup()
     with pytest.raises(UnsupportedConfigurationError):
         total_mass(twirled_field(KIND_PHOTON, model.e_o, ring), shape, SPEC)
-    with pytest.raises(UnsupportedConfigurationError):
-        total_mass(plane_wave(1.0, 1.0), shape, SPEC)
 
 
 def test_toroidal_volume_element_changes_nothing_measurable():
@@ -216,15 +207,6 @@ def test_thin_torus_limit_trivial():
     thin = TorusShape(r_s=model.r_s, r_c=1e-3 * model.r_s)
     spec = QuadratureSpec(panels=16, include_toroidal_jacobian=True)
     assert abs(section_measure(thin, spec) / (math.pi * thin.r_c ** 2) - 1.0) < 1e-12
-
-
-def test_angular_momentum_products():
-    r = K.hbar / (2.0 * K.m_e * K.c)
-    assert abs(angular_momentum(2.0 * K.m_e * K.c, r) / K.hbar - 1.0) < 1e-12
-    assert abs(angular_momentum(K.m_e * K.c, r) / (0.5 * K.hbar) - 1.0) < 1e-12
-    assert angular_momentum(0.0, r) == 0.0
-    with pytest.raises(DomainError):
-        angular_momentum(-1.0, r)
 
 
 def test_spin_halves_sum_exactly():

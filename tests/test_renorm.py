@@ -4,9 +4,7 @@ import pytest
 
 from ringwave import (
     DomainError,
-    charge_difference,
     codata_constants,
-    coulomb_energy,
     semi_photon_model,
     vacuum_polarization,
 )
@@ -15,30 +13,10 @@ K = codata_constants()
 ALPHA_BARE = 2.0 / math.pi
 
 
-def test_coulomb_energy_basics():
-    assert coulomb_energy(1.0, 1.0, 1.0, 1.0) == 1.0
-    assert coulomb_energy(2.0, 3.0, 4.0, 1.0) == 1.5
-    # doubling the permittivity halves the interaction
-    assert coulomb_energy(2.0, 3.0, 4.0, 2.0) == 0.75
-    assert coulomb_energy(1.0, -1.0, 2.0, 1.0) == -0.5
-
-
 def test_coulomb_energy_screened_charge_equivalence():
     # q_bare^2/(eps r) equals q_exp^2/r when eps = (q_bare/q_exp)^2
     vp = vacuum_polarization(ALPHA_BARE, K)
-    r = 1e-8
-    screened = coulomb_energy(vp.q_bare, vp.q_bare, r, vp.eps_v)
-    plain = coulomb_energy(K.e, K.e, r, 1.0)
-    assert abs(screened / plain - 1.0) < 1e-12
-
-
-def test_coulomb_energy_domain():
-    with pytest.raises(DomainError):
-        coulomb_energy(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        coulomb_energy(1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        coulomb_energy(1.0, 1.0, -2.0, 1.0)
+    assert abs(vp.q_bare ** 2 / vp.eps_v / K.e ** 2 - 1.0) < 1e-12
 
 
 def test_vacuum_permeability_value():
@@ -76,16 +54,6 @@ def test_screening_only_weakens():
         vacuum_polarization(K.alpha_exp, K)
     with pytest.raises(DomainError):
         vacuum_polarization(1e-4, K)
-
-
-def test_charge_difference():
-    assert charge_difference(3.0, 1.0) == 2.0
-    assert charge_difference(1.0, 3.0) == -2.0
-    assert charge_difference(9.34 * K.e, 8.34 * K.e) == pytest.approx(K.e, rel=1e-12)
-    with pytest.raises(DomainError):
-        charge_difference(math.nan, 1.0)
-    with pytest.raises(DomainError):
-        charge_difference(1.0, math.inf)
 
 
 def test_bare_charge_matches_ring_model():
