@@ -129,7 +129,7 @@ def test_semi_photon_zeta_bounds():
 
 
 def test_semi_photon_amplitude_overflow_is_an_error():
-    # E_o grows as 1/zeta; near zeta = 1e-141 it leaves the double range
+    # E_o grows as 1/zeta; near zeta = 9e-142 it leaves the double range
     # (at 1e-200 the section area underflows to 0 first)
     assert math.isfinite(semi_photon_model(1e-140, K).e_o)
     for zeta in (1e-150, 1e-200, 5e-324):
