@@ -25,16 +25,16 @@ import sys
 from typing import Callable
 
 from .constants import PhysicalConstants, codata_constants, electron_scales
-from .errors import RingwaveError
+from .errors import EvaluationError, RingwaveError
 from .fields import (
     KIND_PHOTON,
     KIND_SEMI_MINUS,
     KIND_SEMI_PLUS,
-    displacement_current,
-    sample_grid,
+    _grid,
+    _point,
     twirled_field,
 )
-from .geometry import TorusShape, frenet_at, ring_from_radius
+from .geometry import TorusShape, ring_from_radius
 from .lorentz import WavePacket, boost_packet
 from .model import (
     dispersion_omega,
@@ -98,7 +98,10 @@ def _table(rows: list[tuple[str, str, str]]) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or infinity has no JSON spelling
+        raise EvaluationError(f"cannot write JSON: {exc}") from None
 
 
 def _ranged(kind: type, lo: float, hi: float, bounds: str) -> Callable[[str], float]:
@@ -312,7 +315,7 @@ def _cmd_invariants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     if config.format == "json":
         return _json_text({
             "frames": frames,
-            "max_deviation": max_dev,
+            "max_deviation": None if math.isnan(max_dev) else max_dev,
             "threshold": INVARIANT_THRESHOLD,
             "pass": ok,
         }), 0 if ok else 1
@@ -334,12 +337,12 @@ def _cmd_fields(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     if amp is None:
         amp = semi_photon_model(1.0, k).e_o
     cfg = twirled_field(_KIND_MAP[config.kind], amp, ring)
+    if not math.isfinite(cfg.e_o * cfg.omega):  # bounds |jn| and |jtau|
+        raise EvaluationError(f"displacement current overflows at amplitude {amp:g}")
     lines = ["l,x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jn,jtau"]
-    for sample in sample_grid(cfg, config.samples):
-        dec = displacement_current(cfg, sample.l)
-        pos = frenet_at(ring, sample.l).position
-        values = [sample.l, *pos, *sample.E, *sample.H,
-                  dec.j_n_scalar, dec.j_tau_scalar]
+    for l in _grid(cfg, config.samples):
+        x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
+        values = [l, x, y, 0.0, ex, ey, 0.0, 0.0, 0.0, hz, jn, jtau]
         lines.append(",".join(_g17(v) for v in values))
     return "\n".join(lines) + "\n", 0
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .constants import C_LIGHT
 from .errors import DomainError
-from .geometry import RingGeometry, frenet_at
+from .geometry import RingGeometry, _outward, frenet_at
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,8 +62,8 @@ class FieldConfiguration:
     def __post_init__(self) -> None:
         if self.kind not in TWIRLED_KINDS:
             raise DomainError(f"not a twirled kind: {self.kind!r}")
-        if self.e_o <= 0.0:
-            raise DomainError("field amplitude must be positive")
+        if not (math.isfinite(self.e_o) and self.e_o > 0.0):
+            raise DomainError(f"field amplitude must be finite and positive: {self.e_o}")
 
     @property
     def wavelength(self) -> float:
@@ -147,6 +147,35 @@ def _ring_phase(cfg: FieldConfiguration, l: float) -> float | None:
     return cfg.k_wave * lw + cfg.phase
 
 
+def _point(cfg: FieldConfiguration, l: float) -> tuple[float, ...]:
+    """x, y, Ex, Ey, Hz, jn, jtau at arc length l, as floats.
+
+    The one evaluation behind field_at, displacement_current and the
+    `fields` CSV; those two give the physics.
+    """
+    ring = cfg.geometry
+    cp, sp = _outward(ring, l)
+    theta = _ring_phase(cfg, l)
+    a = da_dt = 0.0
+    if theta is not None:
+        a = cfg.sign * cfg.e_o * math.cos(theta)
+        # envelope rate seen by the moving point: c a'(l)
+        da_dt = -cfg.sign * cfg.e_o * cfg.omega * math.sin(theta)
+    inv4pi = 1.0 / (4.0 * math.pi)
+    return (ring.r_k * cp, ring.r_k * sp, a * cp, a * sp, -ring.sense * a,
+            -inv4pi * da_dt, inv4pi * ring.omega_K * a)
+
+
+def _grid(cfg: FieldConfiguration, n: int) -> list[float]:
+    """n equally spaced arc lengths over the support, endpoints inclusive:
+    np.linspace(lo, hi, n) bit for bit (i*step + lo, the last point hi)."""
+    if n < 2:
+        raise DomainError("need at least 2 samples")
+    lo, hi = cfg.support
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
 def field_at(cfg: FieldConfiguration, l: float) -> FieldSample:
     """E and H vectors at arc length l.
 
@@ -157,19 +186,13 @@ def field_at(cfg: FieldConfiguration, l: float) -> FieldSample:
     """
     import numpy as np
 
-    a = amplitude_at(cfg, l)
-    r_out = -frenet_at(cfg.geometry, l).normal
-    return FieldSample(l=l, E=a * r_out, H=np.array([0.0, 0.0, -cfg.geometry.sense * a]))
+    _, _, ex, ey, hz, _, _ = _point(cfg, l)
+    return FieldSample(l=l, E=np.array([ex, ey, 0.0]), H=np.array([0.0, 0.0, hz]))
 
 
 def sample_grid(cfg: FieldConfiguration, n: int) -> list[FieldSample]:
     """n equally spaced samples over the support, endpoints inclusive."""
-    import numpy as np
-
-    if n < 2:
-        raise DomainError("need at least 2 samples")
-    lo, hi = cfg.support
-    return [field_at(cfg, l) for l in np.linspace(lo, hi, n)]
+    return [field_at(cfg, l) for l in _grid(cfg, n)]
 
 
 def displacement_current(cfg: FieldConfiguration, l: float) -> CurrentDecomposition:
@@ -184,15 +207,8 @@ def displacement_current(cfg: FieldConfiguration, l: float) -> CurrentDecomposit
     radial rate of the envelope, the second the curvature (ring
     current) term.  Both vanish outside the support.
     """
-    ring = cfg.geometry
-    frame = frenet_at(ring, l)
-    a = amplitude_at(cfg, l)
-    theta = _ring_phase(cfg, l)
-    # envelope rate seen by the moving point: c a'(l)
-    da_dt = 0.0 if theta is None else -cfg.sign * cfg.e_o * cfg.omega * math.sin(theta)
-    inv4pi = 1.0 / (4.0 * math.pi)
-    jn = -inv4pi * da_dt               # coefficient along the normal
-    jtau = inv4pi * ring.omega_K * a   # coefficient along the tangent
+    frame = frenet_at(cfg.geometry, l)
+    *_, jn, jtau = _point(cfg, l)
     return CurrentDecomposition(
         j_n=jn * frame.normal,
         j_tau=jtau * frame.tangent,

@@ -100,6 +100,12 @@ def ring_from_radius(r_k: float, c: float, handedness: str = "ccw") -> RingGeome
     )
 
 
+def _outward(ring: RingGeometry, l: float) -> tuple[float, float]:
+    """Outward radial unit vector (cos phi, sin phi), phi = sense l / r_k."""
+    phi = ring.sense * l / ring.r_k
+    return math.cos(phi), math.sin(phi)
+
+
 def frenet_at(ring: RingGeometry, l: float) -> FrenetFrame:
     """Position, unit tangent and centripetal unit normal at arc length l.
 
@@ -107,11 +113,9 @@ def frenet_at(ring: RingGeometry, l: float) -> FrenetFrame:
     """
     import numpy as np
 
-    sense = ring.sense
-    phi = sense * l / ring.r_k
-    cp, sp = math.cos(phi), math.sin(phi)
+    cp, sp = _outward(ring, l)
     position = np.array([ring.r_k * cp, ring.r_k * sp, 0.0])
-    tangent = np.array([-sense * sp, sense * cp, 0.0])
+    tangent = np.array([-ring.sense * sp, ring.sense * cp, 0.0])
     normal = np.array([-cp, -sp, 0.0])  # points at the ring axis
     return FrenetFrame(position=position, tangent=tangent, normal=normal)
 

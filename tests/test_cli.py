@@ -285,3 +285,25 @@ def test_invariants_gate_fails_on_nan_deviation(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["invariants", grid, "--format", "json"])
     assert code == 1
     assert '"pass": false' in out
+    assert json.loads(out)["max_deviation"] is None  # valid JSON, no bare NaN
+
+
+def test_fields_amplitude_overflow_exits_1(capsys):
+    # finite amplitudes whose E_o omega overflows: jn would print nan, jtau inf
+    for amp in ("1.2e288", "1e300"):
+        code, out, err = run_cli(capsys, ["fields", "--amplitude", amp, "--samples", "2"])
+        assert code == 1, amp
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_json_refuses_non_finite_values(capsys, monkeypatch):
+    import ringwave.cli as cli
+
+    real = cli.pair_threshold_photon
+    monkeypatch.setattr(cli, "pair_threshold_photon",
+                        lambda k: dataclasses.replace(real(k), energy=math.nan))
+    code, out, err = run_cli(capsys, ["photon", "--format", "json"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -22,7 +22,7 @@ from ringwave import (
     semi_photon_model,
     twirled_field,
 )
-from ringwave.fields import amplitude_at
+from ringwave.fields import _grid, _point, amplitude_at
 
 K = codata_constants()
 RING = ring_from_radius(pair_threshold_photon(K).r_p, K.c)
@@ -43,8 +43,9 @@ def test_twirled_configuration_invariants():
 
 
 def test_amplitude_must_be_positive():
-    with pytest.raises(DomainError):
-        twirled_field(KIND_PHOTON, 0.0, RING)
+    for amp in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            twirled_field(KIND_PHOTON, amp, RING)
     with pytest.raises(DomainError):
         twirled_field("spiral", AMP, RING)
 
@@ -259,3 +260,33 @@ def test_closed_form_h_matches_cross_product_definition():
                 reference = a * np.cross(frame.tangent, -frame.normal)
                 tol = 4.0 * math.ulp(abs(a))
                 assert np.max(np.abs(s.H - reference)) <= tol, (handedness, kind, l)
+
+
+def test_vector_api_wraps_the_scalar_kernel():
+    # the CSV reads _point; the vector API must give the same numbers,
+    # on and off a semi-photon's support, for either sense of travel
+    for handedness in ("ccw", "cw"):
+        ring = ring_from_radius(RING.r_k, K.c, handedness)
+        for kind in (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS):
+            cfg = twirled_field(kind, AMP, ring)
+            for l in np.linspace(-0.3, 1.3, 97) * cfg.wavelength:
+                l = float(l)
+                x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
+                s = field_at(cfg, l)
+                dec = displacement_current(cfg, l)
+                position = frenet_at(ring, l).position
+                assert s.E.tolist() == [ex, ey, 0.0], (handedness, kind, l)
+                assert s.H.tolist() == [0.0, 0.0, hz], (handedness, kind, l)
+                assert (dec.j_n_scalar, dec.j_tau_scalar) == (jn, jtau)
+                assert position.tolist() == [x, y, 0.0], (handedness, kind, l)
+            assert isinstance(s.E, np.ndarray) and isinstance(dec.j_n, np.ndarray)
+            assert isinstance(position, np.ndarray)
+
+
+def test_grid_equals_linspace():
+    for kind in (KIND_PHOTON, KIND_SEMI_PLUS):
+        cfg = _cfg(kind)
+        lo, hi = cfg.support
+        for n in [*range(2, 65), *range(1900, 2101)]:
+            assert _grid(cfg, n) == np.linspace(lo, hi, n).tolist(), (kind, n)
+        assert [s.l for s in sample_grid(cfg, 9)] == _grid(cfg, 9)
