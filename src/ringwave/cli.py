@@ -13,70 +13,58 @@ Exit codes: 0 success, 1 a physics check failed, 2 usage error,
 3 could not write --out.  Output is byte-deterministic for a fixed
 invocation: human tables carry 6 significant digits, CSV 17, JSON
 full-precision floats.
+
+Each _cmd_* imports the modules it runs when it runs, and json loads
+only for --format json, so a short command does not pay start-up time
+for the others (tests/test_lazy_import.py pins the modules per command).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .constants import PhysicalConstants, codata_constants, electron_scales
 from .errors import EvaluationError, RingwaveError
-from .fields import (
-    KIND_PHOTON,
-    KIND_SEMI_MINUS,
-    KIND_SEMI_PLUS,
-    _grid,
-    _point,
-    twirled_field,
-)
-from .geometry import TorusShape, ring_from_radius
-from .lorentz import WavePacket, boost_packet
-from .model import (
-    dispersion_omega,
-    invariant_constants,
-    magnetic_moment,
-    pair_threshold_photon,
-    semi_photon_model,
-    uncertainty_min_length,
-)
-from .quadrature import (
-    RULE_GAUSS5,
-    RULE_MIDPOINT,
-    QuadratureSpec,
-    total_charge,
-    total_mass,
-)
-from .renorm import vacuum_polarization
+
+if TYPE_CHECKING:
+    from .lorentz import WavePacket
+    from .quadrature import QuadratureSpec
 
 INVARIANT_THRESHOLD = 1e-9
 DEFAULT_BETA_GRID = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
 
-_KIND_MAP = {
-    "photon": KIND_PHOTON,
-    "semiplus": KIND_SEMI_PLUS,
-    "semiminus": KIND_SEMI_MINUS,
-}
+# the CLI spelling of fields.TWIRLED_KINDS, in the same order
+_KIND_NAMES = ("photon", "semiplus", "semiminus")
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Validated invocation parameters."""
+    """Validated invocation parameters.
+
+    quadrature is None for every command but `consistency`, whose default
+    is QuadratureSpec(); so only `consistency` imports the quadrature module.
+    """
 
     command: str
     zeta: float = 1.0
     format: str = "table"
     out: str | None = None
-    quadrature: QuadratureSpec = QuadratureSpec()
+    quadrature: QuadratureSpec | None = None
     thomas: bool = False
     kind: str = "photon"
     samples: int = 256
     beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
     amplitude: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.command == "consistency" and self.quadrature is None:
+            from .quadrature import QuadratureSpec
+
+            object.__setattr__(self, "quadrature", QuadratureSpec())
 
 
 def _g6(v: float) -> str:
@@ -98,6 +86,8 @@ def _table(rows: list[tuple[str, str, str]]) -> str:
 
 
 def _json_text(obj) -> str:
+    import json
+
     try:
         return json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:  # a NaN or infinity has no JSON spelling
@@ -173,7 +163,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     add_common(p_inv)
 
     p_fields = add_parser("fields", "sample E, H, and currents to CSV")
-    p_fields.add_argument("--kind", choices=sorted(_KIND_MAP))
+    p_fields.add_argument("--kind", choices=sorted(_KIND_NAMES))
     p_fields.add_argument("--samples", type=_ranged(int, 2, math.inf, "[)"))
     p_fields.add_argument("--amplitude", type=_ranged(float, 0.0, math.inf, "()"),
                           help="field amplitude in statV/cm; default is the"
@@ -182,7 +172,9 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
 
     p_cons = add_parser("consistency", "integrated charge/mass vs stated closed forms")
     p_cons.add_argument("--panels", type=_ranged(int, 1, math.inf, "[)"))
-    p_cons.add_argument("--rule", choices=(RULE_GAUSS5, RULE_MIDPOINT))
+    # quadrature.RULE_GAUSS5 and RULE_MIDPOINT, spelled out so that parsing
+    # does not import the quadrature module
+    p_cons.add_argument("--rule", choices=("gauss_legendre_5", "midpoint"))
     p_cons.add_argument("--toroidal-jacobian", action="store_true",
                         dest="include_toroidal_jacobian",
                         help="integrate the exact torus volume element")
@@ -191,9 +183,13 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     add_common(add_parser("dispersion", "dispersion relation and uncertainty bound"))
 
     ns = vars(parser.parse_args(argv))
-    quadrature = {f.name: ns.pop(f.name)
-                  for f in dataclasses.fields(QuadratureSpec) if f.name in ns}
-    return RunConfig(quadrature=QuadratureSpec(**quadrature), **ns)
+    if ns["command"] == "consistency":
+        from .quadrature import QuadratureSpec
+
+        ns["quadrature"] = QuadratureSpec(**{
+            f.name: ns.pop(f.name)
+            for f in dataclasses.fields(QuadratureSpec) if f.name in ns})
+    return RunConfig(**ns)
 
 
 def _constants_data(k: PhysicalConstants) -> list[tuple[str, float, str]]:
@@ -237,6 +233,8 @@ _RENORM_UNITS = {
 
 
 def _cmd_photon(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+    from .model import pair_threshold_photon
+
     record = dataclasses.asdict(pair_threshold_photon(k))
     if config.format == "json":
         return _json_text(record), 0
@@ -245,6 +243,9 @@ def _cmd_photon(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
 
 
 def _cmd_semiphoton(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+    from .model import magnetic_moment, semi_photon_model
+    from .renorm import vacuum_polarization
+
     model = semi_photon_model(config.zeta, k)
     record = dataclasses.asdict(model)
     record["mu_s"] = magnetic_moment(
@@ -278,6 +279,9 @@ def _cmd_semiphoton(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
 
 
 def _threshold_packet(k: PhysicalConstants) -> WavePacket:
+    from .lorentz import WavePacket
+    from .model import pair_threshold_photon, semi_photon_model
+
     photon = pair_threshold_photon(k)
     amp = semi_photon_model(1.0, k).e_o
     return WavePacket(
@@ -290,6 +294,9 @@ def _threshold_packet(k: PhysicalConstants) -> WavePacket:
 
 
 def _cmd_invariants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+    from .lorentz import boost_packet
+    from .model import invariant_constants
+
     packet = _threshold_packet(k)
     frames = []
     deviations = []
@@ -331,14 +338,16 @@ def _cmd_invariants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
 
 
 def _cmd_fields(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+    from .fields import TWIRLED_KINDS, _grid, _point, twirled_field
+    from .geometry import ring_from_radius
+    from .model import pair_threshold_photon, semi_photon_model
+
     photon = pair_threshold_photon(k)
     ring = ring_from_radius(photon.r_p, k.c)
     amp = config.amplitude
     if amp is None:
         amp = semi_photon_model(1.0, k).e_o
-    cfg = twirled_field(_KIND_MAP[config.kind], amp, ring)
-    if not math.isfinite(cfg.e_o * cfg.omega):  # bounds |jn| and |jtau|
-        raise EvaluationError(f"displacement current overflows at amplitude {amp:g}")
+    cfg = twirled_field(TWIRLED_KINDS[_KIND_NAMES.index(config.kind)], amp, ring)
     lines = ["l,x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jn,jtau"]
     for l in _grid(cfg, config.samples):
         x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
@@ -348,6 +357,11 @@ def _cmd_fields(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
 
 
 def _cmd_consistency(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+    from .fields import KIND_PHOTON, KIND_SEMI_PLUS, twirled_field
+    from .geometry import TorusShape, ring_from_radius
+    from .model import semi_photon_model
+    from .quadrature import total_charge, total_mass
+
     model = semi_photon_model(config.zeta, k)
     ring = ring_from_radius(model.r_s, k.c)
     shape = TorusShape(r_s=model.r_s, r_c=config.zeta * model.r_s)
@@ -375,6 +389,8 @@ def _cmd_consistency(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]
 
 
 def _cmd_dispersion(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+    from .model import dispersion_omega, pair_threshold_photon, uncertainty_min_length
+
     photon = pair_threshold_photon(k)
     k_ref = 1.0 / photon.r_p
     lam_planck, lam_alpha = uncertainty_min_length(photon.energy, k)

@@ -47,8 +47,9 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for name in ("c", "hbar", "h", "e", "m_e", "alpha_exp"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"constant {name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"constant {name} must be finite and positive: {value}")
 
 
 @dataclass(frozen=True)

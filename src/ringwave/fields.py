@@ -64,6 +64,8 @@ class FieldConfiguration:
             raise DomainError(f"not a twirled kind: {self.kind!r}")
         if not (math.isfinite(self.e_o) and self.e_o > 0.0):
             raise DomainError(f"field amplitude must be finite and positive: {self.e_o}")
+        if not math.isfinite(self.e_o * self.omega):  # bounds |jn| and |jtau|
+            raise DomainError(f"displacement current overflows at amplitude {self.e_o:g}")
 
     @property
     def wavelength(self) -> float:

@@ -63,10 +63,10 @@ class TorusShape:
     r_c: float
 
     def __post_init__(self) -> None:
-        if self.r_s <= 0.0:
-            raise DomainError("torus ring radius r_s must be positive")
-        if self.r_c <= 0.0:
-            raise DomainError("torus section radius r_c must be positive")
+        if not (math.isfinite(self.r_s) and self.r_s > 0.0):
+            raise DomainError(f"torus ring radius must be finite and positive: {self.r_s}")
+        if not (math.isfinite(self.r_c) and self.r_c > 0.0):
+            raise DomainError(f"torus section radius must be finite and positive: {self.r_c}")
         if self.r_c > self.r_s:
             raise DomainError(
                 f"section radius {self.r_c} exceeds ring radius {self.r_s}"
@@ -85,10 +85,10 @@ class TorusShape:
 
 def ring_from_radius(r_k: float, c: float, handedness: str = "ccw") -> RingGeometry:
     """Build the ring record for radius r_k and wave speed c."""
-    if r_k <= 0.0:
-        raise DomainError("ring radius must be positive")
-    if c <= 0.0:
-        raise DomainError("wave speed must be positive")
+    if not (math.isfinite(r_k) and r_k > 0.0):
+        raise DomainError(f"ring radius must be finite and positive: {r_k}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise DomainError(f"wave speed must be finite and positive: {c}")
     if handedness not in ("ccw", "cw"):
         raise DomainError(f"unknown handedness {handedness!r}")
     return RingGeometry(

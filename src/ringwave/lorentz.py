@@ -44,12 +44,12 @@ class WavePacket:
     direction: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if self.omega <= 0.0:
-            raise DomainError("packet frequency must be positive")
-        if self.volume <= 0.0:
-            raise DomainError("packet volume must be positive")
+        for name in ("e_o", "omega", "energy", "volume"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"packet {name} must be finite and positive: {value}")
         norm = math.sqrt(sum(d * d for d in self.direction))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # also refuses a NaN component
             raise DomainError(f"direction must be a unit vector, |d| = {norm}")
 
 

@@ -94,8 +94,8 @@ def integrate_line(
     spec: QuadratureSpec,
 ) -> float:
     """Composite quadrature of f over [a, b], summed left to right."""
-    if a >= b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+    if not (a < b and math.isfinite(b - a)):  # refuses NaN and infinite bounds
+        raise DomainError(f"need a < b with a finite width, got [{a}, {b}]")
     h = (b - a) / spec.panels
     total = 0.0
     for i in range(spec.panels):

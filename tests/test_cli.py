@@ -266,9 +266,9 @@ def test_non_finite_beta_grid_exits_2(capsys):
 
 
 def test_invariants_gate_fails_on_nan_deviation(capsys, monkeypatch):
-    import ringwave.cli as cli
+    import ringwave.lorentz as lorentz
 
-    real = cli.boost_packet
+    real = lorentz.boost_packet
 
     def nan_at_first_beta(packet, beta, axis):
         report = real(packet, beta, axis)
@@ -276,7 +276,7 @@ def test_invariants_gate_fails_on_nan_deviation(capsys, monkeypatch):
             report = dataclasses.replace(report, ratio_deviations=math.nan)
         return report
 
-    monkeypatch.setattr(cli, "boost_packet", nan_at_first_beta)
+    monkeypatch.setattr(lorentz, "boost_packet", nan_at_first_beta)
     grid = "--beta-grid=-0.5,0.5"
     code, out, _ = run_cli(capsys, ["invariants", grid])
     assert code == 1
@@ -298,10 +298,10 @@ def test_fields_amplitude_overflow_exits_1(capsys):
 
 
 def test_json_refuses_non_finite_values(capsys, monkeypatch):
-    import ringwave.cli as cli
+    import ringwave.model as model
 
-    real = cli.pair_threshold_photon
-    monkeypatch.setattr(cli, "pair_threshold_photon",
+    real = model.pair_threshold_photon
+    monkeypatch.setattr(model, "pair_threshold_photon",
                         lambda k: dataclasses.replace(real(k), energy=math.nan))
     code, out, err = run_cli(capsys, ["photon", "--format", "json"])
     assert code == 1

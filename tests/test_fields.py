@@ -50,6 +50,19 @@ def test_amplitude_must_be_positive():
         twirled_field("spiral", AMP, RING)
 
 
+def test_amplitude_whose_current_overflows_is_refused():
+    # E_o omega bounds |jn| and |jtau|; the largest E_o it allows is kept
+    with pytest.raises(DomainError, match="overflows"):
+        twirled_field(KIND_PHOTON, 1e300, RING)
+    edge = 1.1577940779563413e287
+    assert math.isinf(math.nextafter(edge, math.inf) * RING.omega_K)
+    cfg = twirled_field(KIND_PHOTON, edge, RING)
+    for l in (0.0, 0.25 * RING.circumference, 0.3):
+        current = displacement_current(cfg, l)
+        assert math.isfinite(current.j_n_scalar) and math.isfinite(current.j_tau_scalar)
+        assert np.all(np.isfinite(current.j_n)) and np.all(np.isfinite(current.j_tau))
+
+
 def test_field_magnitude_at_crest_and_node():
     cfg = _cfg(KIND_PHOTON)
     crest = field_at(cfg, 0.0)

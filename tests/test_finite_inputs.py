@@ -1,0 +1,99 @@
+"""Every validator refuses NaN and infinity with DomainError (property tests).
+
+st.floats() draws NaN, both infinities, zero, negatives, subnormals and
+huge values, so each property also pins which finite values pass.
+"""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ringwave import (
+    KIND_PHOTON,
+    DomainError,
+    QuadratureSpec,
+    TorusShape,
+    WavePacket,
+    codata_constants,
+    integrate_line,
+    pair_threshold_photon,
+    ring_from_radius,
+    twirled_field,
+)
+
+K = codata_constants()
+PHOTON = pair_threshold_photon(K)
+RING = ring_from_radius(PHOTON.r_p, K.c)
+PACKET = WavePacket(e_o=1.0, omega=PHOTON.omega_p, energy=PHOTON.energy,
+                    volume=PHOTON.volume, direction=(1.0, 0.0, 0.0))
+ANY_FLOAT = st.floats()
+
+
+def _finite_positive(*values: float) -> bool:
+    return all(math.isfinite(v) and v > 0.0 for v in values)
+
+
+@given(ANY_FLOAT, ANY_FLOAT)
+def test_torus_shape_takes_finite_positive_radii_with_zeta_at_most_1(r_s, r_c):
+    if _finite_positive(r_s, r_c) and r_c <= r_s:
+        assert TorusShape(r_s, r_c).zeta <= 1.0  # may underflow to 0.0
+    else:
+        with pytest.raises(DomainError):
+            TorusShape(r_s, r_c)
+
+
+@given(ANY_FLOAT, ANY_FLOAT)
+def test_ring_takes_finite_positive_radius_and_speed(r_k, c):
+    if _finite_positive(r_k, c):
+        assert ring_from_radius(r_k, c).r_k == r_k
+    else:
+        with pytest.raises(DomainError):
+            ring_from_radius(r_k, c)
+
+
+@given(st.sampled_from([f.name for f in dataclasses.fields(K)]), ANY_FLOAT)
+def test_physical_constants_take_finite_positive_values(name, value):
+    if _finite_positive(value):
+        assert getattr(dataclasses.replace(K, **{name: value}), name) == value
+    else:
+        with pytest.raises(DomainError):
+            dataclasses.replace(K, **{name: value})
+
+
+@given(st.sampled_from(["e_o", "omega", "energy", "volume"]), ANY_FLOAT)
+def test_wave_packet_takes_finite_positive_values(name, value):
+    if _finite_positive(value):
+        assert getattr(dataclasses.replace(PACKET, **{name: value}), name) == value
+    else:
+        with pytest.raises(DomainError):
+            dataclasses.replace(PACKET, **{name: value})
+
+
+@given(st.integers(0, 2), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_wave_packet_refuses_a_non_finite_direction(axis, bad):
+    direction = [1.0, 0.0, 0.0]
+    direction[axis] = bad
+    with pytest.raises(DomainError):
+        dataclasses.replace(PACKET, direction=tuple(direction))
+
+
+@given(ANY_FLOAT)
+def test_field_amplitude_is_finite_positive_and_keeps_the_current_finite(e_o):
+    if _finite_positive(e_o, e_o * RING.omega_K):
+        assert twirled_field(KIND_PHOTON, e_o, RING).e_o == e_o
+    else:
+        with pytest.raises(DomainError):
+            twirled_field(KIND_PHOTON, e_o, RING)
+
+
+@given(ANY_FLOAT, ANY_FLOAT)
+def test_integrate_line_needs_ordered_bounds_of_finite_width(a, b):
+    spec = QuadratureSpec(panels=2)
+    if a < b and math.isfinite(b - a):
+        assert math.isfinite(integrate_line(lambda x: 1.0, a, b, spec))
+    else:
+        with pytest.raises(DomainError):
+            integrate_line(lambda x: 1.0, a, b, spec)

@@ -1,9 +1,15 @@
-"""numpy is imported by the vector layer only, never by a subcommand."""
+"""Each subcommand imports only the modules it runs; numpy never.
 
+The probes run in fresh interpreters, because sys.modules only grows.
+"""
+
+import importlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import ringwave
 
@@ -34,14 +40,40 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(loaded))
 """
 
+# Runs one command in a fresh interpreter, then prints the exit code, the
+# ringwave submodules loaded and whether json was, before importing json.
+MODULES_PROBE = """
+import contextlib, io, sys
+import ringwave.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ringwave.cli.main(sys.argv[1:])
+print(code, "json" in sys.modules,
+      *sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ringwave.")))
+"""
 
-def _probe(commands):
+BASE = ("cli", "constants", "errors")
+MODULES_PER_COMMAND = {
+    "constants": BASE,
+    "photon": BASE + ("model",),
+    "dispersion": BASE + ("model",),
+    "semiphoton": BASE + ("model", "renorm"),
+    "invariants": BASE + ("lorentz", "model"),
+    "fields": BASE + ("fields", "geometry", "model"),
+    "consistency": BASE + ("fields", "geometry", "model", "quadrature"),
+}
+
+
+def _run(code, *args):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _probe(commands):
+    return json.loads(_run(PROBE, json.dumps(commands)))
 
 
 def test_scalar_commands_never_import_numpy():
@@ -50,3 +82,62 @@ def test_scalar_commands_never_import_numpy():
     for command, (code, numpy_loaded) in loaded.items():
         assert code == 0, command
         assert numpy_loaded is False, command
+
+
+@pytest.mark.parametrize("command", sorted(MODULES_PER_COMMAND))
+def test_each_command_loads_only_its_modules(command):
+    # the table format and `fields` (CSV) never need json
+    code, json_loaded, *modules = _run(MODULES_PROBE, command).split()
+    assert code == "0"
+    assert tuple(modules) == tuple(sorted(MODULES_PER_COMMAND[command]))
+    assert json_loaded == "False"
+
+
+def test_json_is_loaded_for_json_output_only():
+    code, json_loaded, *modules = _run(MODULES_PROBE, "constants",
+                                       "--format", "json").split()
+    assert (code, json_loaded) == ("0", "True")
+    assert tuple(modules) == BASE
+
+
+def test_import_ringwave_loads_no_submodule():
+    out = _run("import sys, ringwave; "
+               "print([m for m in sys.modules if m.startswith('ringwave.')])")
+    assert out.strip() == "[]"
+
+
+def test_every_public_name_comes_from_its_home_module():
+    for home, names in ringwave._EXPORTS.items():
+        module = importlib.import_module(f"ringwave.{home}")
+        for name in names:
+            namespace = {}
+            exec(f"from ringwave import {name}", namespace)
+            assert namespace[name] is getattr(module, name), name
+            # the table names where the object is defined, not a re-export
+            defined_in = getattr(namespace[name], "__module__", module.__name__)
+            assert defined_in == module.__name__, name
+    assert sorted(ringwave.__all__) == sorted(
+        [n for names in ringwave._EXPORTS.values() for n in names] + ["__version__"])
+    assert dir(ringwave) == sorted(ringwave.__all__)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from ringwave import *", namespace)
+    assert set(ringwave.__all__) <= set(namespace)
+    assert namespace["__version__"] == ringwave.__version__
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ringwave.no_such_name
+    assert not hasattr(ringwave, "no_such_name")
+
+
+def test_cli_rule_choices_are_the_quadrature_rules():
+    # the parser spells the rule names out so that it need not import them
+    from ringwave import RULE_GAUSS5, RULE_MIDPOINT
+    from ringwave.cli import parse_args
+
+    for rule in (RULE_GAUSS5, RULE_MIDPOINT):
+        assert parse_args(["consistency", "--rule", rule]).quadrature.rule == rule
