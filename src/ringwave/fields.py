@@ -20,10 +20,9 @@ the one the finite-difference oracles in the tests differentiate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .constants import C_LIGHT
 from .errors import DomainError
 from .geometry import RingGeometry, _outward, frenet_at
 
@@ -43,33 +42,29 @@ class FieldConfiguration:
 
     kind : one of twirled_photon / semi_photon_plus / semi_photon_minus
     e_o : field amplitude (statV/cm), positive
-    omega : circular frequency (rad/s)
-    k_wave : wave number omega/c (1/cm)
-    geometry : the ring the wave is wound on
+    geometry : the ring the wave is wound on; its circumference is the
+        wavelength, so its K and omega_K are the wave number and frequency
+
+    Set at construction:
     support : arc-length interval carrying the field, [0, lambda] for the
         photon and [0, lambda/2] for the semi-photon kinds
-    phase : phase offset added to k*l (rad)
     """
 
     kind: str
     e_o: float
-    omega: float
-    k_wave: float
     geometry: RingGeometry
-    support: tuple[float, float]
-    phase: float = 0.0
+    support: tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in TWIRLED_KINDS:
             raise DomainError(f"not a twirled kind: {self.kind!r}")
         if not (math.isfinite(self.e_o) and self.e_o > 0.0):
             raise DomainError(f"field amplitude must be finite and positive: {self.e_o}")
-        if not math.isfinite(self.e_o * self.omega):  # bounds |jn| and |jtau|
+        if not math.isfinite(self.e_o * self.geometry.omega_K):  # bounds |jn| and |jtau|
             raise DomainError(f"displacement current overflows at amplitude {self.e_o:g}")
-
-    @property
-    def wavelength(self) -> float:
-        return 2.0 * math.pi / self.k_wave
+        lam = self.geometry.circumference
+        hi = lam if self.kind == KIND_PHOTON else 0.5 * lam
+        object.__setattr__(self, "support", (0.0, hi))
 
     @property
     def sign(self) -> float:
@@ -102,51 +97,42 @@ class CurrentDecomposition:
     complex_form: complex
 
 
-def twirled_field(
-    kind: str,
-    e_o: float,
-    ring: RingGeometry,
-    phase: float = 0.0,
-) -> FieldConfiguration:
+def twirled_field(kind: str, e_o: float, ring: RingGeometry) -> FieldConfiguration:
     """Wind one wave period onto the ring.
 
     The frequency is fixed by the ring: omega = omega_K = c/r_k, so the
     circumference holds exactly one wavelength.  Semi-photon kinds get
     half the ring as support.
     """
-    lam = ring.circumference
-    hi = lam if kind == KIND_PHOTON else 0.5 * lam
-    return FieldConfiguration(
-        kind=kind,
-        e_o=e_o,
-        omega=ring.omega_K,
-        k_wave=ring.K,
-        geometry=ring,
-        support=(0.0, hi),
-        phase=phase,
-    )
+    return FieldConfiguration(kind, e_o, ring)
 
 
 def amplitude_at(cfg: FieldConfiguration, l: float) -> float:
-    """Signed radial field amplitude a(l) = sign * E_o cos(k l + phase).
+    """Signed radial field amplitude a(l) = sign * E_o cos(k l).
 
     Zero outside the configured support, after wrapping l by one
     circumference.
     """
     theta = _ring_phase(cfg, l)
-    return 0.0 if theta is None else cfg.sign * cfg.e_o * math.cos(theta)
+    return 0.0 if theta is None else _envelope(cfg, theta)
+
+
+def _envelope(cfg: FieldConfiguration, theta: float) -> float:
+    """a = sign * E_o cos(theta) at ring phase theta."""
+    return cfg.sign * cfg.e_o * math.cos(theta)
 
 
 def _ring_phase(cfg: FieldConfiguration, l: float) -> float | None:
-    """Phase k l + phase, l wrapped by one circumference.
+    """Phase k l, l wrapped by one circumference.
 
     None outside the configured support, which ends at support[1] give
     or take rounding.
     """
-    lw = l % cfg.geometry.circumference
+    ring = cfg.geometry
+    lw = l % ring.circumference
     if lw > cfg.support[1] and not math.isclose(lw, cfg.support[1]):
         return None
-    return cfg.k_wave * lw + cfg.phase
+    return ring.K * lw
 
 
 def _point(cfg: FieldConfiguration, l: float) -> tuple[float, ...]:
@@ -160,9 +146,9 @@ def _point(cfg: FieldConfiguration, l: float) -> tuple[float, ...]:
     theta = _ring_phase(cfg, l)
     a = da_dt = 0.0
     if theta is not None:
-        a = cfg.sign * cfg.e_o * math.cos(theta)
+        a = _envelope(cfg, theta)
         # envelope rate seen by the moving point: c a'(l)
-        da_dt = -cfg.sign * cfg.e_o * cfg.omega * math.sin(theta)
+        da_dt = -cfg.sign * cfg.e_o * ring.omega_K * math.sin(theta)
     inv4pi = 1.0 / (4.0 * math.pi)
     return (ring.r_k * cp, ring.r_k * sp, a * cp, a * sp, -ring.sense * a,
             -inv4pi * da_dt, inv4pi * ring.omega_K * a)
@@ -225,7 +211,7 @@ def charge_density(cfg: FieldConfiguration, l: float) -> float:
 
     Signed with the field, so it flips every half period.
     """
-    return cfg.k_wave / (4.0 * math.pi) * amplitude_at(cfg, l)
+    return cfg.geometry.K / (4.0 * math.pi) * amplitude_at(cfg, l)
 
 
 def energy_density(sample: FieldSample) -> float:
@@ -235,6 +221,6 @@ def energy_density(sample: FieldSample) -> float:
     return (e2 + h2) / (8.0 * math.pi)
 
 
-def mass_density(sample: FieldSample, c: float = C_LIGHT) -> float:
-    """Mass density rho_m = rho_eps / c^2."""
+def mass_density(sample: FieldSample, c: float) -> float:
+    """Mass density rho_m = rho_eps / c^2 for wave speed c."""
     return energy_density(sample) / (c * c)

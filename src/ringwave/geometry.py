@@ -10,7 +10,7 @@ the axis), so the Frenet relation reads dT/dl = +K n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -21,20 +21,40 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class RingGeometry:
-    """A circle of radius r_k travelled at the speed of light.
+    """A circle of radius r_k travelled at the wave speed c.
 
     r_k : ring radius (cm)
-    K : curvature 1/r_k (1/cm)
-    omega_K : angular speed c/r_k of a point moving at c (rad/s)
-    circumference : 2 pi r_k (cm)
+    c : wave speed (cm/s)
     handedness : "ccw" or "cw" sense of travel seen from +z
+
+    Set at construction, for the wave wound on the ring:
+    K : curvature 1/r_k, its wave number (1/cm)
+    omega_K : angular speed c/r_k, its frequency (rad/s)
+    circumference : 2 pi r_k, its wavelength (cm)
     """
 
     r_k: float
-    K: float
-    omega_K: float
-    circumference: float
+    c: float
     handedness: str = "ccw"
+    K: float = field(init=False)
+    omega_K: float = field(init=False)
+    circumference: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.r_k) and self.r_k > 0.0):
+            raise DomainError(f"ring radius must be finite and positive: {self.r_k}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise DomainError(f"wave speed must be finite and positive: {self.c}")
+        if self.handedness not in ("ccw", "cw"):
+            raise DomainError(f"unknown handedness {self.handedness!r}")
+        derived = {"K": 1.0 / self.r_k, "omega_K": self.c / self.r_k,
+                   "circumference": 2.0 * math.pi * self.r_k}
+        for name, value in derived.items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(
+                    f"ring of radius {self.r_k} at speed {self.c} has {name} = {value}"
+                )
+            object.__setattr__(self, name, value)
 
     @property
     def sense(self) -> float:
@@ -72,6 +92,8 @@ class TorusShape:
                 f"section radius {self.r_c} exceeds ring radius {self.r_s}"
                 " (zeta must lie in (0, 1])"
             )
+        if not (math.isfinite(self.section_area) and self.section_area > 0.0):
+            raise DomainError(f"torus section area is {self.section_area} at r_c = {self.r_c}")
 
     @property
     def zeta(self) -> float:
@@ -85,19 +107,7 @@ class TorusShape:
 
 def ring_from_radius(r_k: float, c: float, handedness: str = "ccw") -> RingGeometry:
     """Build the ring record for radius r_k and wave speed c."""
-    if not (math.isfinite(r_k) and r_k > 0.0):
-        raise DomainError(f"ring radius must be finite and positive: {r_k}")
-    if not (math.isfinite(c) and c > 0.0):
-        raise DomainError(f"wave speed must be finite and positive: {c}")
-    if handedness not in ("ccw", "cw"):
-        raise DomainError(f"unknown handedness {handedness!r}")
-    return RingGeometry(
-        r_k=r_k,
-        K=1.0 / r_k,
-        omega_K=c / r_k,
-        circumference=2.0 * math.pi * r_k,
-        handedness=handedness,
-    )
+    return RingGeometry(r_k, c, handedness)
 
 
 def _outward(ring: RingGeometry, l: float) -> tuple[float, float]:

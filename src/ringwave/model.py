@@ -81,14 +81,6 @@ class SemiPhotonModel:
     mu_s: float
     sign: str
 
-    @property
-    def section_area(self) -> float:
-        return math.pi * (self.zeta * self.r_s) ** 2
-
-    @property
-    def volume(self) -> float:
-        return 2.0 * math.pi * self.r_s * self.section_area
-
 
 def pair_threshold_photon(k: PhysicalConstants) -> PhotonModel:
     """The photon at the electron-positron production threshold."""

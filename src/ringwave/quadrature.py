@@ -116,6 +116,8 @@ def integrate_line(
                     raise EvaluationError(f"integrand not finite at l = {x}")
                 panel += weight * fx
             total += panel * 0.5 * h
+    if not math.isfinite(total):
+        raise EvaluationError(f"integral over [{a}, {b}] overflows")
     return total
 
 
@@ -150,10 +152,10 @@ def _lobe_integral(
     crest (the naive [0, lambda/2] integral of the signed density
     would vanish by odd symmetry about lambda/4 and say nothing).
     """
-    lam = cfg.wavelength
+    lo, hi = cfg.support
     if cfg.kind == KIND_PHOTON:
-        return integrate_line(density, 0.0, lam, spec)
-    return 2.0 * integrate_line(density, 0.0, 0.25 * lam, spec)
+        return integrate_line(density, lo, hi, spec)
+    return 2.0 * integrate_line(density, lo, 0.5 * (lo + hi), spec)
 
 
 def total_charge(
@@ -208,11 +210,11 @@ def total_mass(
         raise UnsupportedConfigurationError(
             f"mass integral is defined for semi-photon kinds, got {cfg.kind!r}"
         )
-    c = cfg.omega / cfg.k_wave
+    omega, c = cfg.geometry.omega_K, cfg.geometry.c
     s_flat = shape.section_area
     s_used = section_measure(shape, spec)
     value = s_used * _lobe_integral(cfg, lambda l: _mass_density(cfg, l, c), spec)
-    closed = cfg.e_o * cfg.e_o * s_flat / (4.0 * cfg.omega * c)
+    closed = cfg.e_o * cfg.e_o * s_flat / (4.0 * omega * c)
     return IntegralReport(
         value=value,
         closed_form=closed,

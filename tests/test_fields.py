@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,16 +28,19 @@ from ringwave.fields import _grid, _point, amplitude_at
 K = codata_constants()
 RING = ring_from_radius(pair_threshold_photon(K).r_p, K.c)
 AMP = semi_photon_model(1.0, K).e_o
+LAM = RING.circumference  # one wavelength is wound on the ring
 
 
-def _cfg(kind, phase=0.0):
-    return twirled_field(kind, AMP, RING, phase=phase)
+def _cfg(kind):
+    return twirled_field(kind, AMP, RING)
 
 
 def test_twirled_configuration_invariants():
     cfg = _cfg(KIND_PHOTON)
-    assert cfg.k_wave * K.c == cfg.omega
-    assert abs(cfg.wavelength / RING.circumference - 1.0) < 1e-12
+    # kind, amplitude and ring are the only inputs; the rest is derived
+    inputs = tuple(f.name for f in dataclasses.fields(cfg) if f.init)
+    assert inputs == ("kind", "e_o", "geometry")
+    assert cfg.geometry.K * K.c == cfg.geometry.omega_K
     assert cfg.support == (0.0, RING.circumference)
     semi = _cfg(KIND_SEMI_PLUS)
     assert semi.support == (0.0, 0.5 * RING.circumference)
@@ -67,13 +71,13 @@ def test_field_magnitude_at_crest_and_node():
     cfg = _cfg(KIND_PHOTON)
     crest = field_at(cfg, 0.0)
     assert abs(np.linalg.norm(crest.E) / AMP - 1.0) < 1e-14
-    node = field_at(cfg, 0.25 * cfg.wavelength)
+    node = field_at(cfg, 0.25 * LAM)
     assert np.linalg.norm(node.E) < 1e-12 * AMP
 
 
 def test_e_and_h_balanced_and_orthogonal():
     cfg = _cfg(KIND_PHOTON)
-    for l in np.linspace(0.0, cfg.wavelength, 23):
+    for l in np.linspace(0.0, LAM, 23):
         s = field_at(cfg, float(l))
         assert abs(np.linalg.norm(s.E) - np.linalg.norm(s.H)) <= 1e-12 * AMP
         assert abs(np.dot(s.E, s.H)) <= 1e-12 * AMP * AMP
@@ -82,7 +86,7 @@ def test_e_and_h_balanced_and_orthogonal():
 def test_poynting_direction_along_travel():
     cfg = _cfg(KIND_PHOTON)
     from ringwave import frenet_at
-    for l in (0.0, 0.1 * cfg.wavelength, 0.6 * cfg.wavelength):
+    for l in (0.0, 0.1 * LAM, 0.6 * LAM):
         s = field_at(cfg, l)
         if np.linalg.norm(s.E) < 1e-6 * AMP:
             continue
@@ -93,7 +97,7 @@ def test_poynting_direction_along_travel():
 
 def test_minus_kind_is_pointwise_negation():
     plus, minus = _cfg(KIND_SEMI_PLUS), _cfg(KIND_SEMI_MINUS)
-    for l in np.linspace(0.0, plus.wavelength, 37):
+    for l in np.linspace(0.0, LAM, 37):
         sp, sm = field_at(plus, float(l)), field_at(minus, float(l))
         assert np.allclose(sm.E, -sp.E)
         assert np.allclose(sm.H, -sp.H)
@@ -101,7 +105,7 @@ def test_minus_kind_is_pointwise_negation():
 
 def test_semi_field_vanishes_off_support():
     plus = _cfg(KIND_SEMI_PLUS)
-    s = field_at(plus, 0.75 * plus.wavelength)
+    s = field_at(plus, 0.75 * LAM)
     assert np.all(s.E == 0.0) and np.all(s.H == 0.0)
 
 
@@ -157,13 +161,13 @@ def test_current_split_values_at_crest():
 
 def test_tangential_current_vanishes_with_field():
     cfg = _cfg(KIND_PHOTON)
-    dec = displacement_current(cfg, 0.25 * cfg.wavelength)
+    dec = displacement_current(cfg, 0.25 * LAM)
     assert np.linalg.norm(dec.j_tau) < 1e-12 * RING.omega_K * AMP
 
 
 def test_current_components_perpendicular():
     cfg = _cfg(KIND_PHOTON)
-    for l in np.linspace(0.01, 0.99, 11) * cfg.wavelength:
+    for l in np.linspace(0.01, 0.99, 11) * LAM:
         dec = displacement_current(cfg, float(l))
         bound = 1e-12 * np.linalg.norm(dec.j_n) * np.linalg.norm(dec.j_tau)
         assert abs(np.dot(dec.j_n, dec.j_tau)) <= bound
@@ -171,7 +175,7 @@ def test_current_components_perpendicular():
 
 def test_complex_form_collects_both_scalars():
     cfg = _cfg(KIND_PHOTON)
-    dec = displacement_current(cfg, 0.13 * cfg.wavelength)
+    dec = displacement_current(cfg, 0.13 * LAM)
     assert dec.complex_form == complex(dec.j_n_scalar, dec.j_tau_scalar)
     assert abs(dec.complex_form) > 0.0
 
@@ -180,16 +184,15 @@ def test_plane_kind_is_rejected():
     # every configuration is wound on a ring; an unwound plane wave has
     # no curvature term, no charge density, and no kind of its own
     with pytest.raises(DomainError):
-        FieldConfiguration(kind="plane", e_o=1.0, omega=K.c, k_wave=1.0,
-                           geometry=RING, support=(0.0, 2.0 * math.pi))
+        FieldConfiguration(kind="plane", e_o=1.0, geometry=RING)
 
 
 def test_finite_difference_reproduces_current_vector():
     # central difference in time of the full field vector carried
     # around the ring, against the analytic normal+tangential split
     cfg = _cfg(KIND_PHOTON)
-    l = 0.2 * cfg.wavelength
-    tau = 1e-5 / cfg.omega
+    l = 0.2 * LAM
+    tau = 1e-5 / RING.omega_K
     g = lambda t: field_at(cfg, l + K.c * t).E
     fd = (g(tau) - g(-tau)) / (2.0 * tau) / (4.0 * math.pi)
     dec = displacement_current(cfg, l)
@@ -197,24 +200,26 @@ def test_finite_difference_reproduces_current_vector():
     assert np.linalg.norm(fd - total) / np.linalg.norm(total) < 1e-8
 
 
-def test_finite_difference_split_at_random_phases():
+def test_finite_difference_split_at_random_arc_lengths():
     rng = np.random.default_rng(20260819)
-    for phase in rng.uniform(0.0, 2.0 * math.pi, 64):
-        cfg = _cfg(KIND_PHOTON, phase=float(phase))
-        l = float(rng.uniform(0.0, cfg.wavelength))
-        tau = 1e-5 / cfg.omega
-        g = lambda t: field_at(cfg, l + K.c * t).E
-        fd = (g(tau) - g(-tau)) / (2.0 * tau) / (4.0 * math.pi)
-        total = displacement_current(cfg, l).j_n + displacement_current(cfg, l).j_tau
-        assert np.linalg.norm(fd - total) / np.linalg.norm(total) < 1e-8
+    tau = 1e-5 / RING.omega_K
+    for handedness in ("ccw", "cw"):
+        cfg = twirled_field(KIND_PHOTON, AMP, ring_from_radius(RING.r_k, K.c, handedness))
+        for l in rng.uniform(0.0, LAM, 64):
+            l = float(l)
+            g = lambda t: field_at(cfg, l + K.c * t).E
+            fd = (g(tau) - g(-tau)) / (2.0 * tau) / (4.0 * math.pi)
+            dec = displacement_current(cfg, l)
+            total = dec.j_n + dec.j_tau
+            assert np.linalg.norm(fd - total) / np.linalg.norm(total) < 1e-8, (handedness, l)
 
 
 def test_mass_current_matches_tangential_term():
     cfg = _cfg(KIND_PHOTON)
-    for l in (0.0, 0.11 * cfg.wavelength, 0.35 * cfg.wavelength):
+    for l in (0.0, 0.11 * LAM, 0.35 * LAM):
         tau_mag = np.linalg.norm(displacement_current(cfg, l).j_tau)
         e_mag = np.linalg.norm(field_at(cfg, l).E)
-        mass_current = cfg.omega / (4.0 * math.pi) * e_mag
+        mass_current = RING.omega_K / (4.0 * math.pi) * e_mag
         assert abs(tau_mag - mass_current) <= 1e-12 * RING.omega_K * AMP
 
 
@@ -224,28 +229,28 @@ def test_mass_current_values():
     assert abs(crest.j_tau_scalar / 1.2355899638074137e20 - 1.0) < 1e-12
     # no field, no mass current: the far half of a semi-photon's ring
     semi = twirled_field(KIND_SEMI_PLUS, 1.0, RING)
-    assert displacement_current(semi, 0.75 * semi.wavelength).j_tau_scalar == 0.0
+    assert displacement_current(semi, 0.75 * LAM).j_tau_scalar == 0.0
 
 
 def test_charge_density_profile():
     ring1 = ring_from_radius(1.0, K.c)
     cfg = twirled_field(KIND_PHOTON, 1.0, ring1)
     assert abs(charge_density(cfg, 0.0) / (1.0 / (4.0 * math.pi)) - 1.0) < 1e-12
-    assert abs(charge_density(cfg, 0.25 * cfg.wavelength)) < 1e-12
-    assert charge_density(cfg, 0.1 * cfg.wavelength) > 0.0
-    assert charge_density(cfg, 0.4 * cfg.wavelength) < 0.0
+    assert abs(charge_density(cfg, 0.25 * ring1.circumference)) < 1e-12
+    assert charge_density(cfg, 0.1 * ring1.circumference) > 0.0
+    assert charge_density(cfg, 0.4 * ring1.circumference) < 0.0
 
 
 def test_energy_and_mass_density():
     cfg = _cfg(KIND_PHOTON)
-    zero = field_at(cfg, 0.25 * cfg.wavelength)
+    zero = field_at(cfg, 0.25 * LAM)
     assert energy_density(zero) < 1e-20 * AMP * AMP
     crest = field_at(cfg, 0.0)
     assert abs(energy_density(crest) / (AMP * AMP / (4.0 * math.pi)) - 1.0) < 1e-12
     rng = np.random.default_rng(7)
-    for l in rng.uniform(0.0, cfg.wavelength, 1000):
+    for l in rng.uniform(0.0, LAM, 1000):
         s = field_at(cfg, float(l))
-        assert abs(mass_density(s) * K.c * K.c - energy_density(s)) <= 1e-14 * energy_density(crest)
+        assert abs(mass_density(s, K.c) * K.c * K.c - energy_density(s)) <= 1e-14 * energy_density(crest)
 
 
 def test_sample_grid_spacing_and_balance():
@@ -253,7 +258,7 @@ def test_sample_grid_spacing_and_balance():
     two = sample_grid(cfg, 2)
     assert two[0].l == 0.0 and two[1].l == cfg.support[1]
     five = sample_grid(cfg, 5)
-    assert abs(five[1].l - 0.25 * cfg.wavelength) < 1e-12 * cfg.wavelength
+    assert abs(five[1].l - 0.25 * LAM) < 1e-12 * LAM
     for s in sample_grid(cfg, 33):
         assert abs(np.linalg.norm(s.E) - np.linalg.norm(s.H)) <= 1e-12 * AMP
     with pytest.raises(DomainError):
@@ -266,7 +271,7 @@ def test_closed_form_h_matches_cross_product_definition():
         ring = ring_from_radius(RING.r_k, K.c, handedness)
         for kind in (KIND_PHOTON, KIND_SEMI_PLUS):
             cfg = twirled_field(kind, AMP, ring)
-            for l in np.linspace(-0.3, 1.3, 97) * cfg.wavelength:
+            for l in np.linspace(-0.3, 1.3, 97) * LAM:
                 s = field_at(cfg, float(l))
                 frame = frenet_at(ring, float(l))
                 a = amplitude_at(cfg, float(l))
@@ -282,7 +287,7 @@ def test_vector_api_wraps_the_scalar_kernel():
         ring = ring_from_radius(RING.r_k, K.c, handedness)
         for kind in (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS):
             cfg = twirled_field(kind, AMP, ring)
-            for l in np.linspace(-0.3, 1.3, 97) * cfg.wavelength:
+            for l in np.linspace(-0.3, 1.3, 97) * LAM:
                 l = float(l)
                 x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
                 s = field_at(cfg, l)

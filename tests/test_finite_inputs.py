@@ -1,14 +1,16 @@
 """Every validator refuses NaN and infinity with DomainError (property tests).
 
 st.floats() draws NaN, both infinities, zero, negatives, subnormals and
-huge values, so each property also pins which finite values pass.
+huge values, so each property also pins which finite values pass.  A
+record also refuses finite inputs whose derived values over- or
+underflow; the examples pin one such input each.
 """
 
 import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ringwave import (
@@ -37,8 +39,10 @@ def _finite_positive(*values: float) -> bool:
 
 
 @given(ANY_FLOAT, ANY_FLOAT)
+@example(1e-200, 1e-200)  # pi r_c^2 underflows to 0
+@example(1e200, 1e200)  # pi r_c^2 overflows
 def test_torus_shape_takes_finite_positive_radii_with_zeta_at_most_1(r_s, r_c):
-    if _finite_positive(r_s, r_c) and r_c <= r_s:
+    if _finite_positive(r_s, r_c, math.pi * r_c * r_c) and r_c <= r_s:
         assert TorusShape(r_s, r_c).zeta <= 1.0  # may underflow to 0.0
     else:
         with pytest.raises(DomainError):
@@ -46,8 +50,12 @@ def test_torus_shape_takes_finite_positive_radii_with_zeta_at_most_1(r_s, r_c):
 
 
 @given(ANY_FLOAT, ANY_FLOAT)
+@example(1e-320, 1.0)  # K = 1/r_k overflows
+@example(1e-300, 1e10)  # omega_K = c/r_k overflows, K does not
+@example(1e10, 5e-324)  # omega_K underflows to 0
+@example(1e308, 1.0)  # the circumference overflows
 def test_ring_takes_finite_positive_radius_and_speed(r_k, c):
-    if _finite_positive(r_k, c):
+    if _finite_positive(r_k, c) and _finite_positive(1.0 / r_k, c / r_k, 2.0 * math.pi * r_k):
         assert ring_from_radius(r_k, c).r_k == r_k
     else:
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from ringwave import (
     frenet_at,
     normal_rate,
     ring_from_radius,
-    semi_photon_model,
 )
 
 K = codata_constants()
@@ -18,6 +18,9 @@ K = codata_constants()
 
 def test_ring_record_fields():
     ring = ring_from_radius(2.0, K.c)
+    # radius, speed and handedness are the only inputs; the rest is derived
+    inputs = tuple(f.name for f in dataclasses.fields(ring) if f.init)
+    assert inputs == ("r_k", "c", "handedness")
     assert ring.K == 0.5
     assert ring.omega_K == K.c / 2.0
     assert abs(ring.circumference / (4.0 * math.pi) - 1.0) < 1e-15
@@ -112,14 +115,6 @@ def test_tangent_derivative_is_curvature_times_normal():
 def test_torus_metrics_values():
     shape = TorusShape(r_s=2.0, r_c=0.5)
     assert abs(shape.section_area / (math.pi * 0.25) - 1.0) < 1e-15
-
-
-def test_degenerate_torus_volume():
-    # the zeta = 1 semi-photon fills the horn torus of radius r_p:
-    # 2 pi^2 r_p^3, evaluated independently
-    semi = semi_photon_model(1.0, K)
-    assert abs(semi.r_s / 1.930796339804453e-11 - 1.0) < 1e-12
-    assert abs(semi.volume / 1.4208202612586974e-31 - 1.0) < 1e-12
 
 
 def test_zeta_ratio_and_bounds():

@@ -203,7 +203,6 @@ def test_split_preserves_geometry_and_balances_charge():
     plus, minus = split_photon(PHOTON, K)
     assert plus.r_s == PHOTON.r_p
     assert plus.omega_s == PHOTON.omega_p
-    assert abs(plus.volume / PHOTON.volume - 1.0) < 1e-12
     assert plus.sigma_s == 0.5 * K.hbar and minus.sigma_s == 0.5 * K.hbar
     assert plus.sigma_s + minus.sigma_s == PHOTON.spin
     assert plus.q_s + minus.q_s == 0.0

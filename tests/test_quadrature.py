@@ -9,6 +9,7 @@ from ringwave import (
     DomainError,
     EvaluationError,
     QuadratureSpec,
+    RULE_GAUSS5,
     RULE_MIDPOINT,
     TorusShape,
     UnsupportedConfigurationError,
@@ -52,6 +53,15 @@ def test_quarter_wave_cosine_squared():
 
 def test_unit_integral_exact():
     assert integrate_line(lambda l: 1.0, 0.0, 1.0, SPEC) == 1.0
+
+
+def test_overflowing_sum_is_refused():
+    # every integrand value is finite; with 1e308 their sum is not
+    for rule in (RULE_GAUSS5, RULE_MIDPOINT):
+        spec = QuadratureSpec(panels=2, rule=rule)
+        assert integrate_line(lambda x: 1e307, 0.0, 10.0, spec) < math.inf
+        with pytest.raises(EvaluationError, match="overflows"):
+            integrate_line(lambda x: 1e308, 0.0, 10.0, spec)
 
 
 def test_gauss5_table_matches_closed_forms():
@@ -114,7 +124,7 @@ def test_photon_charge_vanishes():
     report = total_charge(cfg, shape, SPEC)
     assert report.closed_form == 0.0
     assert report.discrepancy_factor is None
-    assert abs(report.value) <= 1e-12 * model.e_o * model.section_area
+    assert abs(report.value) <= 1e-12 * model.e_o * shape.section_area
 
 
 def test_semi_charge_value_and_factor():
@@ -133,7 +143,7 @@ def test_semi_charge_at_electron_scale():
     model, ring, shape = _electron_setup()
     cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
     report = total_charge(cfg, shape, SPEC)
-    oracle = model.e_o * model.section_area / (2.0 * math.pi)
+    oracle = model.e_o * shape.section_area / (2.0 * math.pi)
     assert abs(report.value / oracle - 1.0) < 1e-10
     assert abs(report.discrepancy_factor / 0.5 - 1.0) < 1e-10
     # the closed form is the model charge itself
@@ -154,7 +164,7 @@ def test_charge_conserved_under_division():
     photon = total_charge(twirled_field(KIND_PHOTON, model.e_o, ring), shape, SPEC)
     plus = total_charge(twirled_field(KIND_SEMI_PLUS, model.e_o, ring), shape, SPEC)
     minus = total_charge(twirled_field(KIND_SEMI_MINUS, model.e_o, ring), shape, SPEC)
-    scale = model.e_o * model.section_area
+    scale = model.e_o * shape.section_area
     assert abs(photon.value - (plus.value + minus.value)) <= 1e-12 * scale
 
 
@@ -224,11 +234,10 @@ def test_scalar_mass_integrand_matches_field_definition():
         ring = ring_from_radius(model.r_s, K.c, handedness)
         for kind in (KIND_SEMI_PLUS, KIND_SEMI_MINUS):
             cfg = twirled_field(kind, model.e_o, ring)
-            c = cfg.omega / cfg.k_wave
-            h = 0.25 * cfg.wavelength / SPEC.panels
+            h = 0.25 * ring.circumference / SPEC.panels
             for i in range(SPEC.panels):
                 for node in _GL5_NODES:
                     l = (i + 0.5) * h + 0.5 * h * node
-                    scalar = _mass_density(cfg, l, c)
-                    vector = mass_density(field_at(cfg, l), c)
+                    scalar = _mass_density(cfg, l, ring.c)
+                    vector = mass_density(field_at(cfg, l), ring.c)
                     assert abs(scalar - vector) <= 1e-15 * vector, (handedness, kind, l)
