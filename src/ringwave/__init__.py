@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "constants": ("ElectronScales", "PhysicalConstants", "codata_constants",
                   "electron_scales"),
-    "errors": ("DomainError", "EvaluationError", "RingwaveError",
-               "UnsupportedConfigurationError"),
+    "errors": ("DomainError", "EvaluationError", "RingwaveError"),
     "fields": ("KIND_PHOTON", "KIND_SEMI_MINUS", "KIND_SEMI_PLUS",
                "CurrentDecomposition", "FieldConfiguration", "FieldSample",
                "charge_density", "displacement_current", "energy_density",

@@ -301,7 +301,7 @@ def _cmd_invariants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     frames = []
     deviations = []
     for beta in config.beta_grid:
-        report = boost_packet(packet, beta, packet.direction)
+        report = boost_packet(packet, beta)
         prim = report.primed
         ic = invariant_constants(prim.e_o, prim.omega, prim.energy, prim.volume)
         frames.append({
@@ -358,20 +358,19 @@ def _cmd_fields(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
 
 def _cmd_consistency(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     from .fields import KIND_PHOTON, KIND_SEMI_PLUS, twirled_field
-    from .geometry import TorusShape, ring_from_radius
+    from .geometry import ring_from_radius
     from .model import semi_photon_model
     from .quadrature import total_charge, total_mass
 
-    model = semi_photon_model(config.zeta, k)
+    zeta, spec = config.zeta, config.quadrature
+    model = semi_photon_model(zeta, k)
     ring = ring_from_radius(model.r_s, k.c)
-    shape = TorusShape(r_s=model.r_s, r_c=config.zeta * model.r_s)
-    spec = config.quadrature
     photon_cfg = twirled_field(KIND_PHOTON, model.e_o, ring)
     semi_cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
     reports = {
-        "photon_charge": total_charge(photon_cfg, shape, spec),
-        "semi_photon_charge": total_charge(semi_cfg, shape, spec),
-        "semi_photon_mass": total_mass(semi_cfg, shape, spec),
+        "photon_charge": total_charge(photon_cfg, zeta, spec),
+        "semi_photon_charge": total_charge(semi_cfg, zeta, spec),
+        "semi_photon_mass": total_mass(semi_cfg, zeta, spec),
     }
 
     if config.format == "json":

@@ -11,9 +11,5 @@ class DomainError(RingwaveError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class UnsupportedConfigurationError(RingwaveError, ValueError):
-    """The field configuration cannot supply the requested quantity."""
-
-
 class EvaluationError(RingwaveError, ArithmeticError):
     """A field or integrand evaluation produced a non-finite value."""

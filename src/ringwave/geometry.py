@@ -136,8 +136,8 @@ def normal_rate(ring: RingGeometry, v: float, l: float) -> np.ndarray:
     With phase phi advancing at v K, d n / d t = -v K tangent: the
     normal swings backward along the direction of travel.
     """
-    if v < 0.0:
-        raise DomainError("speed must be non-negative")
+    if not (math.isfinite(v * ring.K) and v >= 0.0):  # also refuses NaN and inf
+        raise DomainError(f"speed must be non-negative with v K finite: {v}")
     frame = frenet_at(ring, l)
     return -v * ring.K * frame.tangent
 

@@ -9,9 +9,10 @@ preservation, and volume through the boost-invariant count of
 wavelengths in the packet.  Only after all four transform separately
 are the ratios compared.
 
-Collinear boosts only: the axis must be parallel or antiparallel to
-the propagation direction.  Positive beta along the propagation
-direction means the new frame recedes from the wave (redshift).
+A packet is boosted along its own propagation direction: positive
+beta means the new frame recedes from the wave (redshift), negative
+beta that it approaches (blueshift).  A boost along any other axis is
+not modelled.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .constants import C_LIGHT, HBAR
-from .errors import DomainError, UnsupportedConfigurationError
+from .errors import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,25 +122,15 @@ def _transverse_basis(direction: _Vec3) -> tuple[_Vec3, _Vec3]:
     return e1, _cross(direction, e1)
 
 
-def boost_packet(p: WavePacket, beta: float, axis: tuple[float, float, float]) -> BoostReport:
-    """Boost the packet along a collinear axis and audit the invariants."""
+def boost_packet(p: WavePacket, beta: float) -> BoostReport:
+    """Boost the packet at beta along its direction and audit the invariants."""
     if not math.isfinite(beta) or abs(beta) >= 1.0:
         raise DomainError(f"|beta| must be a finite number below 1, got {beta}")
-    k_hat = p.direction
-    ax_norm = _norm(axis)
-    if ax_norm == 0.0:
-        raise DomainError("boost axis must be a nonzero vector")
-    ax = tuple(a / ax_norm for a in axis)
-    if _norm(_cross(ax, k_hat)) > 1e-9:
-        raise UnsupportedConfigurationError(
-            "only boosts collinear with the propagation direction are supported"
-        )
-    # signed speed along the propagation direction
-    b = beta if _dot(ax, k_hat) > 0.0 else -beta
-    if b == 0.0:
+    if beta == 0.0:
         return BoostReport(beta=beta, primed=replace(p), ratio_deviations=0.0)
 
-    doppler = math.sqrt((1.0 - b) / (1.0 + b))
+    k_hat = p.direction
+    doppler = math.sqrt((1.0 - beta) / (1.0 + beta))
     omega_prime = p.omega * doppler
 
     # field-transformation route for the amplitude
@@ -147,7 +138,7 @@ def boost_packet(p: WavePacket, beta: float, axis: tuple[float, float, float]) -
     e_prime, h_prime = _boost_fields(
         tuple(p.e_o * x for x in e1),
         tuple(p.e_o * x for x in h1),
-        tuple(b * x for x in k_hat),
+        tuple(beta * x for x in k_hat),
     )
     e_o_prime = _norm(e_prime)
     del h_prime  # magnitude equality is a tested property, not an input

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import PhysicalConstants, codata_constants
+from .constants import PhysicalConstants
 from .errors import DomainError, EvaluationError
 
 SIGN_PLUS = "plus"
@@ -108,8 +108,8 @@ def invariant_constants(
     e_o: float, omega: float, energy: float, volume: float
 ) -> InvariantConstants:
     """The three frame-invariant packet ratios."""
-    if omega <= 0.0:
-        raise DomainError("frequency must be positive")
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise DomainError(f"frequency must be finite and positive: {omega}")
     return InvariantConstants(c1=e_o / omega, c2=energy / omega, c3=volume * omega)
 
 
@@ -119,8 +119,8 @@ def uncertainty_min_length(energy: float, k: PhysicalConstants) -> tuple[float, 
     Returns the bound in both algebraic forms, 2 pi hbar c / energy and
     (2 pi / alpha)(e^2 / energy), which must agree to 1e-9 relative.
     """
-    if energy <= 0.0:
-        raise DomainError("energy must be positive")
+    if not (math.isfinite(energy) and energy > 0.0):
+        raise DomainError(f"energy must be finite and positive: {energy}")
     planck_form = 2.0 * math.pi * k.hbar * k.c / energy
     alpha_form = (2.0 * math.pi / k.alpha_exp) * (k.e * k.e / energy)
     if abs(alpha_form / planck_form - 1.0) > 1e-9:
@@ -137,10 +137,10 @@ def dispersion_omega(k_wave: float, mass: float, k: PhysicalConstants) -> float:
     omega = sqrt(c^2 k^2 + m^2 c^4 / hbar^2); hypot keeps the massless
     branch exactly ck and the k = 0 branch exactly m c^2/hbar.
     """
-    if k_wave < 0.0:
-        raise DomainError("wave number must be non-negative")
-    if mass < 0.0:
-        raise DomainError("mass must be non-negative")
+    if not (math.isfinite(k_wave) and k_wave >= 0.0):
+        raise DomainError(f"wave number must be finite and non-negative: {k_wave}")
+    if not (math.isfinite(mass) and mass >= 0.0):
+        raise DomainError(f"mass must be finite and non-negative: {mass}")
     return math.hypot(k.c * k_wave, mass * k.c * k.c / k.hbar)
 
 
@@ -202,17 +202,14 @@ def semi_photon_model(
 
 
 def split_photon(
-    p: PhotonModel,
-    k: PhysicalConstants | None = None,
+    p: PhotonModel, k: PhysicalConstants
 ) -> tuple[SemiPhotonModel, SemiPhotonModel]:
     """Divide a pair-threshold photon into its two semi-photons.
 
     Defined only at the production threshold; radius, frequency, and
     volume carry over unchanged (zeta = 1), charges come out opposite.
     """
-    if k is None:
-        k = codata_constants()
-    threshold = 2.0 * k.m_e * k.c * k.c
+    threshold = pair_threshold_photon(k).energy
     if abs(p.energy / threshold - 1.0) > 1e-9:
         raise DomainError(
             f"photon energy {p.energy} erg is not the pair threshold {threshold} erg"

@@ -15,10 +15,10 @@ field makes the gap visible instead of absorbing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import DomainError, EvaluationError, UnsupportedConfigurationError
+from .errors import DomainError, EvaluationError
 from .fields import KIND_PHOTON, FieldConfiguration, amplitude_at, charge_density
 from .geometry import TorusShape
 
@@ -53,7 +53,7 @@ _GL5_WEIGHTS = (
 class QuadratureSpec:
     """Composite-rule parameters.
 
-    panels : number of equal subintervals, >= 1
+    panels : number of equal subintervals, an integer >= 1
     rule : gauss_legendre_5 or midpoint
     include_toroidal_jacobian : integrate the exact torus volume element
         over the cross-section instead of using the flat measure pi r_c^2
@@ -64,8 +64,8 @@ class QuadratureSpec:
     include_toroidal_jacobian: bool = False
 
     def __post_init__(self) -> None:
-        if self.panels < 1:
-            raise DomainError("panel count must be >= 1")
+        if not (isinstance(self.panels, int) and self.panels >= 1):
+            raise DomainError(f"panel count must be an integer >= 1, got {self.panels!r}")
         if self.rule not in (RULE_GAUSS5, RULE_MIDPOINT):
             raise DomainError(f"unknown quadrature rule {self.rule!r}")
 
@@ -74,17 +74,24 @@ class QuadratureSpec:
 class IntegralReport:
     """Numerical value next to the stated closed form.
 
-    discrepancy_factor = value/closed_form when the closed form is
-    nonzero, else None.  section_factor is the ratio of the
-    cross-section measure actually used to pi r_c^2 (1.0 unless the
-    toroidal volume element is enabled).
+    section_factor is the ratio of the cross-section measure actually
+    used to pi r_c^2 (1.0 unless the toroidal volume element is
+    enabled).  Set at construction: abs_error = |value - closed_form|,
+    and discrepancy_factor = value/closed_form when the closed form is
+    nonzero, else None.
     """
 
     value: float
     closed_form: float
-    abs_error: float
-    discrepancy_factor: float | None
-    section_factor: float = 1.0
+    abs_error: float = field(init=False)
+    discrepancy_factor: float | None = field(init=False)
+    section_factor: float
+
+    def __post_init__(self) -> None:
+        closed = self.closed_form
+        object.__setattr__(self, "abs_error", abs(self.value - closed))
+        object.__setattr__(self, "discrepancy_factor",
+                           self.value / closed if closed != 0.0 else None)
 
 
 def integrate_line(
@@ -158,32 +165,34 @@ def _lobe_integral(
     return 2.0 * integrate_line(density, lo, 0.5 * (lo + hi), spec)
 
 
-def total_charge(
+def _integral_report(
     cfg: FieldConfiguration,
-    shape: TorusShape,
+    zeta: float,
     spec: QuadratureSpec,
+    density: Callable[[float], float],
+    closed_form: Callable[[float], float],
 ) -> IntegralReport:
-    """Charge of the configuration: section measure x line integral.
+    """Section measure x line integral of density over the torus of
+    thinness zeta on the wave's ring, next to closed_form(pi r_c^2)."""
+    r_k = cfg.geometry.r_k
+    shape = TorusShape(r_k, zeta * r_k)
+    s_flat = shape.section_area
+    s_used = section_measure(shape, spec)
+    value = s_used * _lobe_integral(cfg, density, spec)
+    return IntegralReport(value, closed_form(s_flat), s_used / s_flat)
+
+
+def total_charge(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> IntegralReport:
+    """Charge of the configuration on the torus of thinness zeta.
 
     Closed form: 0 for the full photon (the two lobes cancel), and
     +-(1/pi) E_o S_c for the semi-photon kinds.  The as-integrated
     lobe value is E_o S_c / 2pi, half the stated closed form; the
     factor is reported, and the closed form stays canonical downstream.
     """
-    s_flat = shape.section_area
-    s_used = section_measure(shape, spec)
-    value = s_used * _lobe_integral(cfg, lambda l: charge_density(cfg, l), spec)
-    if cfg.kind == KIND_PHOTON:
-        closed = 0.0
-    else:
-        closed = cfg.sign * cfg.e_o * s_flat / math.pi
-    return IntegralReport(
-        value=value,
-        closed_form=closed,
-        abs_error=abs(value - closed),
-        discrepancy_factor=(value / closed) if closed != 0.0 else None,
-        section_factor=s_used / s_flat,
-    )
+    sign = 0.0 if cfg.kind == KIND_PHOTON else cfg.sign
+    return _integral_report(cfg, zeta, spec, lambda l: charge_density(cfg, l),
+                            lambda s_flat: sign * cfg.e_o * s_flat / math.pi)
 
 
 def _mass_density(cfg: FieldConfiguration, l: float, c: float) -> float:
@@ -195,31 +204,17 @@ def _mass_density(cfg: FieldConfiguration, l: float, c: float) -> float:
     return a * a / (4.0 * math.pi) / (c * c)
 
 
-def total_mass(
-    cfg: FieldConfiguration,
-    shape: TorusShape,
-    spec: QuadratureSpec,
-) -> IntegralReport:
-    """Field mass of a semi-photon: section measure x line integral.
+def total_mass(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> IntegralReport:
+    """Field mass of a semi-photon on the torus of thinness zeta.
 
     Closed form E_o^2 S_c / (4 omega c).  The as-integrated value is
     half of it, the same factor the charge shows; reported, not
     absorbed.
     """
     if cfg.kind == KIND_PHOTON:
-        raise UnsupportedConfigurationError(
-            f"mass integral is defined for semi-photon kinds, got {cfg.kind!r}"
-        )
+        raise DomainError(f"mass integral is defined for semi-photon kinds, got {cfg.kind!r}")
     omega, c = cfg.geometry.omega_K, cfg.geometry.c
-    s_flat = shape.section_area
-    s_used = section_measure(shape, spec)
-    value = s_used * _lobe_integral(cfg, lambda l: _mass_density(cfg, l, c), spec)
-    closed = cfg.e_o * cfg.e_o * s_flat / (4.0 * omega * c)
-    return IntegralReport(
-        value=value,
-        closed_form=closed,
-        abs_error=abs(value - closed),
-        discrepancy_factor=value / closed,
-        section_factor=s_used / s_flat,
+    return _integral_report(
+        cfg, zeta, spec, lambda l: _mass_density(cfg, l, c),
+        lambda s_flat: cfg.e_o * cfg.e_o * s_flat / (4.0 * omega * c),
     )
-

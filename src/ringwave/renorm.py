@@ -44,9 +44,9 @@ def vacuum_polarization(alpha_bare: float, k: PhysicalConstants) -> VacuumPolari
     Requires alpha_bare > alpha_exp: screening only ever weakens the
     interaction.
     """
-    if alpha_bare <= k.alpha_exp:
+    if not (math.isfinite(alpha_bare) and alpha_bare > k.alpha_exp):
         raise DomainError(
-            f"bare coupling {alpha_bare} must exceed the measured {k.alpha_exp}"
+            f"bare coupling {alpha_bare} must be finite and exceed the measured {k.alpha_exp}"
         )
     eps_v = alpha_bare / k.alpha_exp
     scales = electron_scales(k)

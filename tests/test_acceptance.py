@@ -13,7 +13,6 @@ import numpy as np
 
 from ringwave import (
     QuadratureSpec,
-    TorusShape,
     codata_constants,
     dispersion_omega,
     electron_scales,
@@ -68,12 +67,11 @@ def test_03_vacuum_permeability():
 
 def test_04_photon_is_neutral_and_halves_balance():
     ring = ring_from_radius(SEMI.r_s, K.c)
-    shape = TorusShape(r_s=SEMI.r_s, r_c=SEMI.r_s)
     spec = QuadratureSpec()
     scale = SEMI.e_o * math.pi * SEMI.r_s ** 2
-    photon_q = total_charge(twirled_field(KIND_PHOTON, SEMI.e_o, ring), shape, spec)
-    plus_q = total_charge(twirled_field(KIND_SEMI_PLUS, SEMI.e_o, ring), shape, spec)
-    minus_q = total_charge(twirled_field(KIND_SEMI_MINUS, SEMI.e_o, ring), shape, spec)
+    photon_q = total_charge(twirled_field(KIND_PHOTON, SEMI.e_o, ring), 1.0, spec)
+    plus_q = total_charge(twirled_field(KIND_SEMI_PLUS, SEMI.e_o, ring), 1.0, spec)
+    minus_q = total_charge(twirled_field(KIND_SEMI_MINUS, SEMI.e_o, ring), 1.0, spec)
     _check(
         f"photon charge {photon_q.value:.3g} vanishes; "
         f"q+ + q- = {plus_q.value + minus_q.value}",
@@ -129,7 +127,7 @@ def test_08_lorentz_invariance_sweep():
     worst = 0.0
     hbar_ok = True
     for beta in (-0.99, -0.9, -0.5, -0.1, 0.1, 0.5, 0.9, 0.99):
-        report = boost_packet(packet, beta, packet.direction)
+        report = boost_packet(packet, beta)
         worst = max(worst, report.ratio_deviations)
         prim = report.primed
         hbar_ok = hbar_ok and abs(prim.energy / prim.omega / K.hbar - 1.0) < 1e-12
@@ -173,10 +171,9 @@ def test_10_frame_rotation_rate_converges_quadratically():
 
 def test_11_half_quantum_discrepancy_is_surfaced():
     ring = ring_from_radius(SEMI.r_s, K.c)
-    shape = TorusShape(r_s=SEMI.r_s, r_c=SEMI.r_s)
     spec = QuadratureSpec()
-    charge = total_charge(twirled_field(KIND_SEMI_PLUS, SEMI.e_o, ring), shape, spec)
-    mass = total_mass(twirled_field(KIND_SEMI_PLUS, SEMI.e_o, ring), shape, spec)
+    charge = total_charge(twirled_field(KIND_SEMI_PLUS, SEMI.e_o, ring), 1.0, spec)
+    mass = total_mass(twirled_field(KIND_SEMI_PLUS, SEMI.e_o, ring), 1.0, spec)
     api_ok = (
         abs(charge.discrepancy_factor - 0.5) < 1e-9
         and abs(mass.discrepancy_factor - 0.5) < 1e-9

@@ -270,8 +270,8 @@ def test_invariants_gate_fails_on_nan_deviation(capsys, monkeypatch):
 
     real = lorentz.boost_packet
 
-    def nan_at_first_beta(packet, beta, axis):
-        report = real(packet, beta, axis)
+    def nan_at_first_beta(packet, beta):
+        report = real(packet, beta)
         if beta == -0.5:
             report = dataclasses.replace(report, ratio_deviations=math.nan)
         return report

@@ -1,4 +1,5 @@
-"""Every validator refuses NaN and infinity with DomainError (property tests).
+"""Every validator and guarded function refuses NaN and infinity with
+DomainError (property tests).
 
 st.floats() draws NaN, both infinities, zero, negatives, subnormals and
 huge values, so each property also pins which finite values pass.  A
@@ -16,14 +17,20 @@ from hypothesis import strategies as st
 from ringwave import (
     KIND_PHOTON,
     DomainError,
+    InvariantConstants,
     QuadratureSpec,
     TorusShape,
     WavePacket,
     codata_constants,
+    dispersion_omega,
     integrate_line,
+    invariant_constants,
+    normal_rate,
     pair_threshold_photon,
     ring_from_radius,
     twirled_field,
+    uncertainty_min_length,
+    vacuum_polarization,
 )
 
 K = codata_constants()
@@ -32,10 +39,15 @@ RING = ring_from_radius(PHOTON.r_p, K.c)
 PACKET = WavePacket(e_o=1.0, omega=PHOTON.omega_p, energy=PHOTON.energy,
                     volume=PHOTON.volume, direction=(1.0, 0.0, 0.0))
 ANY_FLOAT = st.floats()
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 def _finite_positive(*values: float) -> bool:
     return all(math.isfinite(v) and v > 0.0 for v in values)
+
+
+def _finite_non_negative(*values: float) -> bool:
+    return all(math.isfinite(v) and v >= 0.0 for v in values)
 
 
 @given(ANY_FLOAT, ANY_FLOAT)
@@ -105,3 +117,72 @@ def test_integrate_line_needs_ordered_bounds_of_finite_width(a, b):
     else:
         with pytest.raises(DomainError):
             integrate_line(lambda x: 1.0, a, b, spec)
+
+
+@given(st.one_of(st.integers(), ANY_FLOAT))
+@example(2.5)
+@example(2.0)  # a whole float is still not a panel count
+def test_quadrature_spec_takes_an_integer_panel_count_of_at_least_1(panels):
+    if isinstance(panels, int) and panels >= 1:
+        assert QuadratureSpec(panels=panels).panels == panels
+    else:
+        with pytest.raises(DomainError):
+            QuadratureSpec(panels=panels)
+
+
+@given(ANY_FLOAT)
+@example(math.nan)
+def test_invariant_constants_take_a_finite_positive_frequency(omega):
+    if _finite_positive(omega):
+        assert invariant_constants(1.0, omega, 1.0, 1.0) == InvariantConstants(
+            1.0 / omega, 1.0 / omega, omega)
+    else:
+        with pytest.raises(DomainError):
+            invariant_constants(1.0, omega, 1.0, 1.0)
+
+
+# both forms of the bound stay normal doubles on [1e-250, 1e250]; past
+# that they round apart, which uncertainty_min_length reports as such
+@given(st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(1e-250, 1e250)))
+@example(math.inf)  # 2 pi hbar c / inf = 0 was then divided by
+def test_uncertainty_length_takes_a_finite_positive_energy(energy):
+    if _finite_positive(energy):
+        planck, _ = uncertainty_min_length(energy, K)
+        assert planck == 2.0 * math.pi * K.hbar * K.c / energy
+    else:
+        with pytest.raises(DomainError):
+            uncertainty_min_length(energy, K)
+
+
+@given(ANY_FLOAT, ANY_FLOAT)
+@example(math.nan, K.m_e)
+@example(1.0, math.inf)
+def test_dispersion_takes_a_finite_non_negative_wave_number_and_mass(k_wave, mass):
+    if _finite_non_negative(k_wave, mass):
+        assert dispersion_omega(k_wave, mass, K) >= 0.0
+    else:
+        with pytest.raises(DomainError):
+            dispersion_omega(k_wave, mass, K)
+
+
+@given(ANY_FLOAT)
+@example(math.nan)
+@example(math.inf)
+def test_vacuum_polarization_takes_a_finite_coupling_above_the_measured(alpha_bare):
+    if math.isfinite(alpha_bare) and alpha_bare > K.alpha_exp:
+        assert vacuum_polarization(alpha_bare, K).eps_v == alpha_bare / K.alpha_exp
+    else:
+        with pytest.raises(DomainError):
+            vacuum_polarization(alpha_bare, K)
+
+
+@given(ANY_FLOAT)
+@example(math.nan)
+@example(1e300)  # v K overflows
+def test_normal_rate_takes_a_non_negative_speed_whose_rate_is_finite(v):
+    if _finite_non_negative(v, v * RING.K):
+        # at l = 0 the tangent is +y, so the rate is -v K along y
+        assert normal_rate(RING, v, 0.0)[1] == -v * RING.K
+    else:
+        with pytest.raises(DomainError):
+            normal_rate(RING, v, 0.0)

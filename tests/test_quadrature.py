@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -8,11 +9,11 @@ from ringwave import (
     KIND_SEMI_PLUS,
     DomainError,
     EvaluationError,
+    IntegralReport,
     QuadratureSpec,
     RULE_GAUSS5,
     RULE_MIDPOINT,
     TorusShape,
-    UnsupportedConfigurationError,
     codata_constants,
     field_at,
     integrate_line,
@@ -36,6 +37,19 @@ def test_spec_validation():
         QuadratureSpec(panels=0)
     with pytest.raises(DomainError):
         QuadratureSpec(rule="trapezoid")
+
+
+def test_integral_report_record_fields():
+    report = IntegralReport(value=1.5, closed_form=3.0, section_factor=1.0)
+    # value, closed form and section factor are the only inputs; the rest is derived
+    inputs = tuple(f.name for f in dataclasses.fields(report) if f.init)
+    assert inputs == ("value", "closed_form", "section_factor")
+    assert (report.abs_error, report.discrepancy_factor) == (1.5, 0.5)
+    neutral = IntegralReport(value=-2e-30, closed_form=0.0, section_factor=1.0)
+    assert (neutral.abs_error, neutral.discrepancy_factor) == (2e-30, None)
+    # the key order of the consistency JSON
+    assert list(dataclasses.asdict(report)) == [
+        "value", "closed_form", "abs_error", "discrepancy_factor", "section_factor"]
 
 
 def test_full_period_cosine_integrates_to_zero():
@@ -121,7 +135,7 @@ def _electron_setup(zeta=1.0):
 def test_photon_charge_vanishes():
     model, ring, shape = _electron_setup()
     cfg = twirled_field(KIND_PHOTON, model.e_o, ring)
-    report = total_charge(cfg, shape, SPEC)
+    report = total_charge(cfg, 1.0, SPEC)
     assert report.closed_form == 0.0
     assert report.discrepancy_factor is None
     assert abs(report.value) <= 1e-12 * model.e_o * shape.section_area
@@ -132,8 +146,7 @@ def test_semi_charge_value_and_factor():
     # S_c/(2 pi) against the stated closed form S_c/pi
     ring = ring_from_radius(1.0, K.c)
     cfg = twirled_field(KIND_SEMI_PLUS, 1.0, ring)
-    shape = TorusShape(r_s=1.0, r_c=1.0)
-    report = total_charge(cfg, shape, SPEC)
+    report = total_charge(cfg, 1.0, SPEC)
     assert abs(report.value / 0.5 - 1.0) < 1e-10
     assert abs(report.closed_form / 1.0 - 1.0) < 1e-12
     assert abs(report.discrepancy_factor / 0.5 - 1.0) < 1e-10
@@ -142,7 +155,7 @@ def test_semi_charge_value_and_factor():
 def test_semi_charge_at_electron_scale():
     model, ring, shape = _electron_setup()
     cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
-    report = total_charge(cfg, shape, SPEC)
+    report = total_charge(cfg, 1.0, SPEC)
     oracle = model.e_o * shape.section_area / (2.0 * math.pi)
     assert abs(report.value / oracle - 1.0) < 1e-10
     assert abs(report.discrepancy_factor / 0.5 - 1.0) < 1e-10
@@ -151,9 +164,9 @@ def test_semi_charge_at_electron_scale():
 
 
 def test_minus_kind_carries_opposite_charge():
-    model, ring, shape = _electron_setup()
-    plus = total_charge(twirled_field(KIND_SEMI_PLUS, model.e_o, ring), shape, SPEC)
-    minus = total_charge(twirled_field(KIND_SEMI_MINUS, model.e_o, ring), shape, SPEC)
+    model, ring, _ = _electron_setup()
+    plus = total_charge(twirled_field(KIND_SEMI_PLUS, model.e_o, ring), 1.0, SPEC)
+    minus = total_charge(twirled_field(KIND_SEMI_MINUS, model.e_o, ring), 1.0, SPEC)
     assert minus.value == -plus.value
     assert minus.closed_form == -plus.closed_form
     assert plus.value + minus.value == 0.0
@@ -161,41 +174,52 @@ def test_minus_kind_carries_opposite_charge():
 
 def test_charge_conserved_under_division():
     model, ring, shape = _electron_setup()
-    photon = total_charge(twirled_field(KIND_PHOTON, model.e_o, ring), shape, SPEC)
-    plus = total_charge(twirled_field(KIND_SEMI_PLUS, model.e_o, ring), shape, SPEC)
-    minus = total_charge(twirled_field(KIND_SEMI_MINUS, model.e_o, ring), shape, SPEC)
+    photon = total_charge(twirled_field(KIND_PHOTON, model.e_o, ring), 1.0, SPEC)
+    plus = total_charge(twirled_field(KIND_SEMI_PLUS, model.e_o, ring), 1.0, SPEC)
+    minus = total_charge(twirled_field(KIND_SEMI_MINUS, model.e_o, ring), 1.0, SPEC)
     scale = model.e_o * shape.section_area
     assert abs(photon.value - (plus.value + minus.value)) <= 1e-12 * scale
 
 
-def test_panel_doubling_is_converged():
-    model, ring, shape = _electron_setup()
+def test_torus_is_built_on_the_wave_ring():
+    # zeta = 1/2 quarters pi r_c^2 exactly, and with it both integrals
+    model, ring, _ = _electron_setup()
     cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
-    v64 = total_charge(cfg, shape, QuadratureSpec(panels=64)).value
-    v128 = total_charge(cfg, shape, QuadratureSpec(panels=128)).value
+    for total in (total_charge, total_mass):
+        full, half = total(cfg, 1.0, SPEC), total(cfg, 0.5, SPEC)
+        assert (half.value, half.closed_form) == (0.25 * full.value, 0.25 * full.closed_form)
+        with pytest.raises(DomainError):  # r_c would exceed the ring radius
+            total(cfg, 1.5, SPEC)
+
+
+def test_panel_doubling_is_converged():
+    model, ring, _ = _electron_setup()
+    cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
+    v64 = total_charge(cfg, 1.0, QuadratureSpec(panels=64)).value
+    v128 = total_charge(cfg, 1.0, QuadratureSpec(panels=128)).value
     assert abs(v128 / v64 - 1.0) < 1e-12
 
 
 def test_mass_closed_form_recovers_electron_mass():
-    model, ring, shape = _electron_setup()
+    model, ring, _ = _electron_setup()
     cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
-    report = total_mass(cfg, shape, SPEC)
+    report = total_mass(cfg, 1.0, SPEC)
     assert abs(report.closed_form / K.m_e - 1.0) < 1e-12
     assert abs(report.discrepancy_factor / 0.5 - 1.0) < 1e-10
     assert report.value > 0.0
 
 
 def test_mass_scales_quadratically_with_amplitude():
-    model, ring, shape = _electron_setup()
-    v1 = total_mass(twirled_field(KIND_SEMI_PLUS, model.e_o, ring), shape, SPEC).value
-    v2 = total_mass(twirled_field(KIND_SEMI_PLUS, 2.0 * model.e_o, ring), shape, SPEC).value
+    model, ring, _ = _electron_setup()
+    v1 = total_mass(twirled_field(KIND_SEMI_PLUS, model.e_o, ring), 1.0, SPEC).value
+    v2 = total_mass(twirled_field(KIND_SEMI_PLUS, 2.0 * model.e_o, ring), 1.0, SPEC).value
     assert abs(v2 / (4.0 * v1) - 1.0) < 1e-12
 
 
 def test_mass_defined_for_semi_kinds_only():
-    model, ring, shape = _electron_setup()
-    with pytest.raises(UnsupportedConfigurationError):
-        total_mass(twirled_field(KIND_PHOTON, model.e_o, ring), shape, SPEC)
+    model, ring, _ = _electron_setup()
+    with pytest.raises(DomainError):
+        total_mass(twirled_field(KIND_PHOTON, model.e_o, ring), 1.0, SPEC)
 
 
 def test_toroidal_volume_element_changes_nothing_measurable():
@@ -206,9 +230,9 @@ def test_toroidal_volume_element_changes_nothing_measurable():
     flat = math.pi * shape.r_c ** 2
     assert abs(section_measure(shape, spec) / flat - 1.0) < 1e-12
 
-    model, ring, eshape = _electron_setup()
+    model, ring, _ = _electron_setup()
     cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
-    report = total_charge(cfg, eshape, QuadratureSpec(panels=16, include_toroidal_jacobian=True))
+    report = total_charge(cfg, 1.0, QuadratureSpec(panels=16, include_toroidal_jacobian=True))
     assert abs(report.section_factor - 1.0) < 1e-12
 
 
