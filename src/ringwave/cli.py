@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from typing import TYPE_CHECKING, Callable
@@ -39,6 +40,10 @@ DEFAULT_BETA_GRID = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
 
 # the CLI spelling of fields.TWIRLED_KINDS, in the same order
 _KIND_NAMES = ("photon", "semiplus", "semiminus")
+
+# a `fields` CSV row, whose z, Ez, Hx and Hy are always 0; + 0.0 on each
+# value folds -0.0 (Ey and jn of semiminus at l = 0) into 0
+_CSV_ROW = "%.17g,%.17g,%.17g,0,%.17g,%.17g,0,0,0,%.17g,%.17g,%.17g"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,10 +74,6 @@ class RunConfig:
 
 def _g6(v: float) -> str:
     return f"{float(v):.6g}"
-
-
-def _g17(v: float) -> str:
-    return f"{float(v) + 0.0:.17g}"  # + 0.0 folds -0.0 into 0
 
 
 def _table(rows: list[tuple[str, str, str]]) -> str:
@@ -128,11 +129,9 @@ def _beta_grid_arg(text: str) -> tuple[float, ...]:
     return betas
 
 
-def parse_args(argv: list[str] | None = None) -> RunConfig:
-    """Parse and validate the command line into a RunConfig.
-
-    An option left out takes its default from RunConfig or QuadratureSpec.
-    """
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; each parse fills a new namespace."""
     parser = argparse.ArgumentParser(
         prog="ringwave",
         description="Ring-wave model of the photon and the electron-positron pair",
@@ -181,8 +180,15 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     add_common(p_cons)
 
     add_common(add_parser("dispersion", "dispersion relation and uncertainty bound"))
+    return parser
 
-    ns = vars(parser.parse_args(argv))
+
+def parse_args(argv: list[str] | None = None) -> RunConfig:
+    """Parse and validate the command line into a RunConfig.
+
+    An option left out takes its default from RunConfig or QuadratureSpec.
+    """
+    ns = vars(_parser().parse_args(argv))
     if ns["command"] == "consistency":
         from .quadrature import QuadratureSpec
 
@@ -351,8 +357,8 @@ def _cmd_fields(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     lines = ["l,x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jn,jtau"]
     for l in _grid(cfg, config.samples):
         x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
-        values = [l, x, y, 0.0, ex, ey, 0.0, 0.0, 0.0, hz, jn, jtau]
-        lines.append(",".join(_g17(v) for v in values))
+        lines.append(_CSV_ROW % (l + 0.0, x + 0.0, y + 0.0, ex + 0.0, ey + 0.0,
+                                 hz + 0.0, jn + 0.0, jtau + 0.0))
     return "\n".join(lines) + "\n", 0
 
 

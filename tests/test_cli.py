@@ -2,12 +2,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ringwave
 from ringwave import QuadratureSpec, codata_constants, pair_threshold_photon
 from ringwave.cli import RunConfig, main, parse_args
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(ringwave.__file__)))
 K = codata_constants()
 PHOTON = pair_threshold_photon(K)
 
@@ -327,6 +332,41 @@ def test_parse_args_defaults():
                     "fields", "consistency", "dispersion"):
         assert parse_args([command]) == RunConfig(command=command)
     assert parse_args(["consistency"]).quadrature == QuadratureSpec()
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    # one parser serves every call in a process; no value outlives its call
+    assert parse_args(["fields", "--samples", "5"]).samples == 5
+    assert parse_args(["fields"]).samples == 256
+    for bad in (["fields", "--samples", "7", "--kind", "electron"],
+                ["fields", "--samples", "7", "--no-such-option"],
+                ["consistency", "--panels", "9", "--rule", "simpson"]):
+        with pytest.raises(SystemExit):
+            parse_args(bad)
+    capsys.readouterr()
+    for command in ("fields", "consistency", "semiphoton"):
+        assert parse_args([command]) == RunConfig(command=command)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fields", "--kind", "electron"],
+    ["no-such-command"],
+    ["consistency", "--panels", "0"],
+    ["semiphoton", "--help"],
+], ids=["bad-kind", "unknown-command", "panels-out-of-range", "help"])
+def test_reused_parser_errors_match_a_fresh_process(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    parse_args(["fields", "--samples", "5"])  # the parser exists and has parsed
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    fresh = subprocess.run(
+        [sys.executable, "-m", "ringwave.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC, COLUMNS="80"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (exc.value.code, captured.out, captured.err) == (
+        fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_range_edges_are_accepted():
