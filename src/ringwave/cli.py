@@ -145,13 +145,15 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "json"))
         p.add_argument("--out", help="write output to this path instead of stdout")
 
+    def add_zeta(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--zeta", type=_ranged(float, 0.0, 1.0, "(]"),
+                       help=f"torus thinness ratio in (0, 1], default {RunConfig.zeta:g}")
+
     add_common(add_parser("constants", "universal constants table"))
     add_common(add_parser("photon", "pair-threshold photon record"))
 
     p_semi = add_parser("semiphoton", "semi-photon record and renormalization")
-    p_semi.add_argument("--zeta", type=_ranged(float, 0.0, 1.0, "(]"),
-                        help="torus thinness ratio in (0, 1], default"
-                             f" {RunConfig.zeta:g}")
+    add_zeta(p_semi)
     p_semi.add_argument("--thomas", action="store_true",
                         help="apply the Thomas-precession factor 2 to mu_s")
     add_common(p_semi)
@@ -170,6 +172,7 @@ def _parser() -> argparse.ArgumentParser:
     p_fields.add_argument("--out", help="write CSV to this path instead of stdout")
 
     p_cons = add_parser("consistency", "integrated charge/mass vs stated closed forms")
+    add_zeta(p_cons)
     p_cons.add_argument("--panels", type=_ranged(int, 1, math.inf, "[)"))
     # quadrature.RULE_GAUSS5 and RULE_MIDPOINT, spelled out so that parsing
     # does not import the quadrature module

@@ -10,7 +10,7 @@ import pytest
 
 import ringwave
 from ringwave import QuadratureSpec, codata_constants, pair_threshold_photon
-from ringwave.cli import RunConfig, main, parse_args
+from ringwave.cli import RunConfig, main, parse_args, run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ringwave.__file__)))
 K = codata_constants()
@@ -42,6 +42,9 @@ def test_usage_errors_exit_2(capsys):
         ["invariants", "--beta-grid", "0.5,-1"],
         ["invariants", "--beta-grid", ",,"],
         ["consistency", "--panels", "0"],
+        ["consistency", "--zeta", "0"],
+        ["consistency", "--zeta", "1.5"],
+        ["consistency", "--zeta", "nan"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -305,6 +308,19 @@ def test_consistency_rule_and_jacobian_flags(capsys):
     assert code == 0
     data = json.loads(out)
     assert abs(data["semi_photon_mass"]["section_factor"] - 1.0) < 1e-9
+
+
+def test_consistency_takes_zeta(capsys):
+    config = dataclasses.replace(parse_args(["consistency"]), zeta=0.5)
+    assert parse_args(["consistency", "--zeta", "0.5"]) == config
+    assert run(config) == 0
+    expected = capsys.readouterr().out
+    assert run_cli(capsys, ["consistency", "--zeta", "0.5"]) == (0, expected, "")
+    assert expected != run_cli(capsys, ["consistency"])[1]
+    # E_o overflows, as in semiphoton
+    code, out, err = run_cli(capsys, ["consistency", "--zeta", "1e-150"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_dispersion_output(capsys):
