@@ -13,6 +13,7 @@ every scale cancelling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import PhysicalConstants
@@ -110,6 +111,9 @@ def invariant_constants(
     """The three frame-invariant packet ratios."""
     if not (math.isfinite(omega) and omega > 0.0):
         raise DomainError(f"frequency must be finite and positive: {omega}")
+    if not all(map(math.isfinite, (e_o, energy, volume))):
+        raise DomainError(
+            f"amplitude, energy and volume must be finite: {e_o}, {energy}, {volume}")
     return InvariantConstants(c1=e_o / omega, c2=energy / omega, c3=volume * omega)
 
 
@@ -117,11 +121,16 @@ def uncertainty_min_length(energy: float, k: PhysicalConstants) -> tuple[float, 
     """Smallest packet length allowed by the uncertainty relation.
 
     Returns the bound in both algebraic forms, 2 pi hbar c / energy and
-    (2 pi / alpha)(e^2 / energy), which must agree to 1e-9 relative.
+    (2 pi / alpha)(e^2 / energy), which must agree to 1e-9 relative.  An
+    energy whose bound is below the smallest normal double is refused:
+    there the forms round apart.
     """
     if not (math.isfinite(energy) and energy > 0.0):
         raise DomainError(f"energy must be finite and positive: {energy}")
     planck_form = 2.0 * math.pi * k.hbar * k.c / energy
+    if planck_form < sys.float_info.min:
+        raise DomainError(f"energy {energy} puts the bound below the smallest"
+                          f" normal double: {planck_form}")
     alpha_form = (2.0 * math.pi / k.alpha_exp) * (k.e * k.e / energy)
     if abs(alpha_form / planck_form - 1.0) > 1e-9:
         raise EvaluationError(

@@ -9,6 +9,7 @@ underflow; the examples pin one such input each.
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -141,14 +142,31 @@ def test_invariant_constants_take_a_finite_positive_frequency(omega):
             invariant_constants(1.0, omega, 1.0, 1.0)
 
 
-# both forms of the bound stay normal doubles on [1e-250, 1e250]; past
-# that they round apart, which uncertainty_min_length reports as such
-@given(st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(1e-250, 1e250)))
+@given(st.sampled_from(["e_o", "energy", "volume"]), ANY_FLOAT)
+@example("e_o", math.nan)
+@example("energy", math.inf)
+@example("volume", -math.inf)
+def test_invariant_constants_take_a_finite_amplitude_energy_and_volume(name, value):
+    args = {"e_o": 1.0, "omega": 2.0, "energy": 1.0, "volume": 1.0}
+    args[name] = value
+    if math.isfinite(value):
+        assert invariant_constants(**args) == InvariantConstants(
+            args["e_o"] / 2.0, args["energy"] / 2.0, args["volume"] * 2.0)
+    else:
+        with pytest.raises(DomainError):
+            invariant_constants(**args)
+
+
+# past an energy of ~8.9e291 the bound 2 pi hbar c / E is subnormal, where
+# its two forms round apart: that energy is refused, not the model blamed
+@given(ANY_FLOAT)
 @example(math.inf)  # 2 pi hbar c / inf = 0 was then divided by
+@example(1e300)  # the bound is the subnormal 1.99e-316
+@example(5e-324)  # the smallest energy; its bound is still finite
 def test_uncertainty_length_takes_a_finite_positive_energy(energy):
-    if _finite_positive(energy):
-        planck, _ = uncertainty_min_length(energy, K)
-        assert planck == 2.0 * math.pi * K.hbar * K.c / energy
+    two_pi_hbar_c = 2.0 * math.pi * K.hbar * K.c
+    if _finite_positive(energy) and two_pi_hbar_c / energy >= sys.float_info.min:
+        assert uncertainty_min_length(energy, K)[0] == two_pi_hbar_c / energy
     else:
         with pytest.raises(DomainError):
             uncertainty_min_length(energy, K)
