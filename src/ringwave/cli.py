@@ -41,8 +41,7 @@ DEFAULT_BETA_GRID = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
 # the CLI spelling of fields.TWIRLED_KINDS, in the same order
 _KIND_NAMES = ("photon", "semiplus", "semiminus")
 
-# a `fields` CSV row, whose z, Ez, Hx and Hy are always 0; + 0.0 on each
-# value folds -0.0 (Ey and jn of semiminus at l = 0) into 0
+# a `fields` CSV row; z, Ez, Hx, Hy are always 0, and + 0.0 folds -0.0 to 0
 _CSV_ROW = "%.17g,%.17g,%.17g,0,%.17g,%.17g,0,0,0,%.17g,%.17g,%.17g"
 
 

@@ -40,7 +40,6 @@ RING = ring_from_radius(PHOTON.r_p, K.c)
 PACKET = WavePacket(e_o=1.0, omega=PHOTON.omega_p, energy=PHOTON.energy,
                     volume=PHOTON.volume, direction=(1.0, 0.0, 0.0))
 ANY_FLOAT = st.floats()
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 def _finite_positive(*values: float) -> bool:
