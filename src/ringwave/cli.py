@@ -297,7 +297,6 @@ def _threshold_packet(k: PhysicalConstants) -> WavePacket:
         omega=photon.omega_p,
         energy=photon.energy,
         volume=photon.volume,
-        direction=(1.0, 0.0, 0.0),
     )
 
 

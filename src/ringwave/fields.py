@@ -3,11 +3,12 @@
 A plane-polarized wave of amplitude E_o is wound once around a ring
 whose circumference equals the wavelength.  The electric vector lies
 along the outward radial direction of the ring plane, the magnetic
-vector along the ring axis, both modulated by the same cos(k l)
+vector along -z, the ring axis, both modulated by the same cos(k l)
 envelope fixed to the ring.  The "semi photon" kinds carry the same
 envelope on half of the ring only and model the electron (plus) and
 positron (minus); the minus kind is the pointwise negation of the
-plus kind.
+plus kind.  The charge, energy and mass densities are closed-form
+scalars of arc length.
 
 Time derivatives are taken along the material point circulating at
 the wave speed through the static envelope: for a quantity Q(l)
@@ -150,7 +151,7 @@ def _point(cfg: FieldConfiguration, l: float) -> tuple[float, ...]:
         # envelope rate seen by the moving point: c a'(l)
         da_dt = -cfg.sign * cfg.e_o * ring.omega_K * math.sin(theta)
     inv4pi = 1.0 / (4.0 * math.pi)
-    return (ring.r_k * cp, ring.r_k * sp, a * cp, a * sp, -ring.sense * a,
+    return (ring.r_k * cp, ring.r_k * sp, a * cp, a * sp, -a,
             -inv4pi * da_dt, inv4pi * ring.omega_K * a)
 
 
@@ -169,8 +170,7 @@ def field_at(cfg: FieldConfiguration, l: float) -> FieldSample:
 
     E = a(l) * r_out, H = a(l) * (tau x r_out), so that E x H points
     along the direction of travel and |E| = |H| holds pointwise.  In the
-    ring plane tau x r_out = -sense z (sense +1 for "ccw", -1 for "cw"),
-    so H = -sense a(l) z.
+    ring plane tau x r_out = -z, so H = -a(l) z.
     """
     import numpy as np
 
@@ -214,13 +214,13 @@ def charge_density(cfg: FieldConfiguration, l: float) -> float:
     return cfg.geometry.K / (4.0 * math.pi) * amplitude_at(cfg, l)
 
 
-def energy_density(sample: FieldSample) -> float:
-    """Electromagnetic energy density (E^2 + H^2)/8pi."""
-    e2 = float(sample.E @ sample.E)
-    h2 = float(sample.H @ sample.H)
-    return (e2 + h2) / (8.0 * math.pi)
+def energy_density(cfg: FieldConfiguration, l: float) -> float:
+    """Energy density (E^2 + H^2)/8pi = a(l)^2/4pi, as |E| = |H| = |a(l)|."""
+    a = amplitude_at(cfg, l)
+    return a * a / (4.0 * math.pi)
 
 
-def mass_density(sample: FieldSample, c: float) -> float:
-    """Mass density rho_m = rho_eps / c^2 for wave speed c."""
-    return energy_density(sample) / (c * c)
+def mass_density(cfg: FieldConfiguration, l: float) -> float:
+    """Mass density rho_eps(l)/c^2 at the ring's wave speed c."""
+    c = cfg.geometry.c
+    return energy_density(cfg, l) / (c * c)

@@ -1,8 +1,9 @@
 """Ring geometry, Frenet frame, and torus measures.
 
 The ring lies in the z = 0 plane, centred on the origin, traversed
-counter-clockwise when seen from +z unless built with handedness "cw".
-Arc length l parameterises the circle; the phase angle is l / r_k.
+counter-clockwise when seen from +z; a clockwise ring is its mirror
+image in y, with the same charge, mass and invariants.  Arc length l
+parameterises the circle; the phase angle is l / r_k.
 The normal vector used throughout is the centripetal one (pointing at
 the axis), so the Frenet relation reads dT/dl = +K n.
 """
@@ -25,7 +26,6 @@ class RingGeometry:
 
     r_k : ring radius (cm)
     c : wave speed (cm/s)
-    handedness : "ccw" or "cw" sense of travel seen from +z
 
     Set at construction, for the wave wound on the ring:
     K : curvature 1/r_k, its wave number (1/cm)
@@ -35,7 +35,6 @@ class RingGeometry:
 
     r_k: float
     c: float
-    handedness: str = "ccw"
     K: float = field(init=False)
     omega_K: float = field(init=False)
     circumference: float = field(init=False)
@@ -45,8 +44,6 @@ class RingGeometry:
             raise DomainError(f"ring radius must be finite and positive: {self.r_k}")
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise DomainError(f"wave speed must be finite and positive: {self.c}")
-        if self.handedness not in ("ccw", "cw"):
-            raise DomainError(f"unknown handedness {self.handedness!r}")
         derived = {"K": 1.0 / self.r_k, "omega_K": self.c / self.r_k,
                    "circumference": 2.0 * math.pi * self.r_k}
         for name, value in derived.items():
@@ -55,11 +52,6 @@ class RingGeometry:
                     f"ring of radius {self.r_k} at speed {self.c} has {name} = {value}"
                 )
             object.__setattr__(self, name, value)
-
-    @property
-    def sense(self) -> float:
-        """+1 for "ccw", -1 for "cw": the sign of the travel about +z."""
-        return 1.0 if self.handedness == "ccw" else -1.0
 
 
 @dataclass(frozen=True)
@@ -96,23 +88,19 @@ class TorusShape:
             raise DomainError(f"torus section area is {self.section_area} at r_c = {self.r_c}")
 
     @property
-    def zeta(self) -> float:
-        return self.r_c / self.r_s
-
-    @property
     def section_area(self) -> float:
         """Flat cross-section measure pi r_c^2."""
         return math.pi * self.r_c * self.r_c
 
 
-def ring_from_radius(r_k: float, c: float, handedness: str = "ccw") -> RingGeometry:
+def ring_from_radius(r_k: float, c: float) -> RingGeometry:
     """Build the ring record for radius r_k and wave speed c."""
-    return RingGeometry(r_k, c, handedness)
+    return RingGeometry(r_k, c)
 
 
 def _outward(ring: RingGeometry, l: float) -> tuple[float, float]:
-    """Outward radial unit vector (cos phi, sin phi), phi = sense l / r_k."""
-    phi = ring.sense * l / ring.r_k
+    """Outward radial unit vector (cos phi, sin phi), phi = l / r_k."""
+    phi = l / ring.r_k
     return math.cos(phi), math.sin(phi)
 
 
@@ -125,7 +113,7 @@ def frenet_at(ring: RingGeometry, l: float) -> FrenetFrame:
 
     cp, sp = _outward(ring, l)
     position = np.array([ring.r_k * cp, ring.r_k * sp, 0.0])
-    tangent = np.array([-ring.sense * sp, ring.sense * cp, 0.0])
+    tangent = np.array([-sp, cp, 0.0])
     normal = np.array([-cp, -sp, 0.0])  # points at the ring axis
     return FrenetFrame(position=position, tangent=tangent, normal=normal)
 

@@ -108,13 +108,14 @@ def pair_threshold_photon(k: PhysicalConstants) -> PhotonModel:
 def invariant_constants(
     e_o: float, omega: float, energy: float, volume: float
 ) -> InvariantConstants:
-    """The three frame-invariant packet ratios."""
+    """The three frame-invariant packet ratios, each finite."""
     if not (math.isfinite(omega) and omega > 0.0):
         raise DomainError(f"frequency must be finite and positive: {omega}")
-    if not all(map(math.isfinite, (e_o, energy, volume))):
-        raise DomainError(
-            f"amplitude, energy and volume must be finite: {e_o}, {energy}, {volume}")
-    return InvariantConstants(c1=e_o / omega, c2=energy / omega, c3=volume * omega)
+    ratios = (e_o / omega, energy / omega, volume * omega)
+    if not all(map(math.isfinite, ratios)):  # a non-finite input, or an overflow
+        raise DomainError(f"packet ratios of {e_o}, {omega}, {energy}, {volume}"
+                          f" are not finite: {ratios}")
+    return InvariantConstants(*ratios)
 
 
 def uncertainty_min_length(energy: float, k: PhysicalConstants) -> tuple[float, float]:
@@ -144,13 +145,17 @@ def dispersion_omega(k_wave: float, mass: float, k: PhysicalConstants) -> float:
     """Frequency of a wave of wavenumber k_wave carrying rest mass.
 
     omega = sqrt(c^2 k^2 + m^2 c^4 / hbar^2); hypot keeps the massless
-    branch exactly ck and the k = 0 branch exactly m c^2/hbar.
+    branch exactly ck and the k = 0 branch exactly m c^2/hbar.  A
+    frequency that overflows is refused.
     """
     if not (math.isfinite(k_wave) and k_wave >= 0.0):
         raise DomainError(f"wave number must be finite and non-negative: {k_wave}")
     if not (math.isfinite(mass) and mass >= 0.0):
         raise DomainError(f"mass must be finite and non-negative: {mass}")
-    return math.hypot(k.c * k_wave, mass * k.c * k.c / k.hbar)
+    omega = math.hypot(k.c * k_wave, mass * k.c * k.c / k.hbar)
+    if not math.isfinite(omega):
+        raise DomainError(f"frequency overflows at k = {k_wave}, mass = {mass}")
+    return omega
 
 
 def magnetic_moment(

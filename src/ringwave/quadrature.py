@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, EvaluationError
-from .fields import KIND_PHOTON, FieldConfiguration, amplitude_at, charge_density
+from .fields import KIND_PHOTON, FieldConfiguration, charge_density, mass_density
 from .geometry import TorusShape
 
 RULE_GAUSS5 = "gauss_legendre_5"
@@ -195,15 +195,6 @@ def total_charge(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> 
                             lambda s_flat: sign * cfg.e_o * s_flat / math.pi)
 
 
-def _mass_density(cfg: FieldConfiguration, l: float, c: float) -> float:
-    """Scalar form of fields.mass_density(field_at(cfg, l), c) on the ring.
-
-    |E| = |H| = |a(l)|, so (E^2 + H^2)/(8 pi c^2) = a^2/(4 pi c^2).
-    """
-    a = amplitude_at(cfg, l)
-    return a * a / (4.0 * math.pi) / (c * c)
-
-
 def total_mass(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> IntegralReport:
     """Field mass of a semi-photon on the torus of thinness zeta.
 
@@ -215,6 +206,6 @@ def total_mass(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> In
         raise DomainError(f"mass integral is defined for semi-photon kinds, got {cfg.kind!r}")
     omega, c = cfg.geometry.omega_K, cfg.geometry.c
     return _integral_report(
-        cfg, zeta, spec, lambda l: _mass_density(cfg, l, c),
+        cfg, zeta, spec, lambda l: mass_density(cfg, l),
         lambda s_flat: cfg.e_o * cfg.e_o * s_flat / (4.0 * omega * c),
     )

@@ -122,7 +122,6 @@ def test_08_lorentz_invariance_sweep():
         omega=PHOTON.omega_p,
         energy=PHOTON.energy,
         volume=PHOTON.volume,
-        direction=(1.0, 0.0, 0.0),
     )
     worst = 0.0
     hbar_ok = True

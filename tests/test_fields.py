@@ -203,15 +203,14 @@ def test_finite_difference_reproduces_current_vector():
 def test_finite_difference_split_at_random_arc_lengths():
     rng = np.random.default_rng(20260819)
     tau = 1e-5 / RING.omega_K
-    for handedness in ("ccw", "cw"):
-        cfg = twirled_field(KIND_PHOTON, AMP, ring_from_radius(RING.r_k, K.c, handedness))
-        for l in rng.uniform(0.0, LAM, 64):
-            l = float(l)
-            g = lambda t: field_at(cfg, l + K.c * t).E
-            fd = (g(tau) - g(-tau)) / (2.0 * tau) / (4.0 * math.pi)
-            dec = displacement_current(cfg, l)
-            total = dec.j_n + dec.j_tau
-            assert np.linalg.norm(fd - total) / np.linalg.norm(total) < 1e-8, (handedness, l)
+    cfg = _cfg(KIND_PHOTON)
+    for l in rng.uniform(0.0, LAM, 64):
+        l = float(l)
+        g = lambda t: field_at(cfg, l + K.c * t).E
+        fd = (g(tau) - g(-tau)) / (2.0 * tau) / (4.0 * math.pi)
+        dec = displacement_current(cfg, l)
+        total = dec.j_n + dec.j_tau
+        assert np.linalg.norm(fd - total) / np.linalg.norm(total) < 1e-8, l
 
 
 def test_mass_current_matches_tangential_term():
@@ -243,14 +242,13 @@ def test_charge_density_profile():
 
 def test_energy_and_mass_density():
     cfg = _cfg(KIND_PHOTON)
-    zero = field_at(cfg, 0.25 * LAM)
-    assert energy_density(zero) < 1e-20 * AMP * AMP
-    crest = field_at(cfg, 0.0)
-    assert abs(energy_density(crest) / (AMP * AMP / (4.0 * math.pi)) - 1.0) < 1e-12
+    assert energy_density(cfg, 0.25 * LAM) < 1e-20 * AMP * AMP
+    crest = energy_density(cfg, 0.0)
+    assert abs(crest / (AMP * AMP / (4.0 * math.pi)) - 1.0) < 1e-12
     rng = np.random.default_rng(7)
     for l in rng.uniform(0.0, LAM, 1000):
-        s = field_at(cfg, float(l))
-        assert abs(mass_density(s, K.c) * K.c * K.c - energy_density(s)) <= 1e-14 * energy_density(crest)
+        l = float(l)
+        assert abs(mass_density(cfg, l) * K.c * K.c - energy_density(cfg, l)) <= 1e-14 * crest
 
 
 def test_sample_grid_spacing_and_balance():
@@ -266,39 +264,35 @@ def test_sample_grid_spacing_and_balance():
 
 
 def test_closed_form_h_matches_cross_product_definition():
-    # H = -sense a z must agree with the vector definition a (tau x r_out)
-    for handedness in ("ccw", "cw"):
-        ring = ring_from_radius(RING.r_k, K.c, handedness)
-        for kind in (KIND_PHOTON, KIND_SEMI_PLUS):
-            cfg = twirled_field(kind, AMP, ring)
-            for l in np.linspace(-0.3, 1.3, 97) * LAM:
-                s = field_at(cfg, float(l))
-                frame = frenet_at(ring, float(l))
-                a = amplitude_at(cfg, float(l))
-                reference = a * np.cross(frame.tangent, -frame.normal)
-                tol = 4.0 * math.ulp(abs(a))
-                assert np.max(np.abs(s.H - reference)) <= tol, (handedness, kind, l)
+    # H = -a z must agree with the vector definition a (tau x r_out)
+    for kind in (KIND_PHOTON, KIND_SEMI_PLUS):
+        cfg = _cfg(kind)
+        for l in np.linspace(-0.3, 1.3, 97) * LAM:
+            s = field_at(cfg, float(l))
+            frame = frenet_at(RING, float(l))
+            a = amplitude_at(cfg, float(l))
+            reference = a * np.cross(frame.tangent, -frame.normal)
+            tol = 4.0 * math.ulp(abs(a))
+            assert np.max(np.abs(s.H - reference)) <= tol, (kind, l)
 
 
 def test_vector_api_wraps_the_scalar_kernel():
     # the CSV reads _point; the vector API must give the same numbers,
-    # on and off a semi-photon's support, for either sense of travel
-    for handedness in ("ccw", "cw"):
-        ring = ring_from_radius(RING.r_k, K.c, handedness)
-        for kind in (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS):
-            cfg = twirled_field(kind, AMP, ring)
-            for l in np.linspace(-0.3, 1.3, 97) * LAM:
-                l = float(l)
-                x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
-                s = field_at(cfg, l)
-                dec = displacement_current(cfg, l)
-                position = frenet_at(ring, l).position
-                assert s.E.tolist() == [ex, ey, 0.0], (handedness, kind, l)
-                assert s.H.tolist() == [0.0, 0.0, hz], (handedness, kind, l)
-                assert (dec.j_n_scalar, dec.j_tau_scalar) == (jn, jtau)
-                assert position.tolist() == [x, y, 0.0], (handedness, kind, l)
-            assert isinstance(s.E, np.ndarray) and isinstance(dec.j_n, np.ndarray)
-            assert isinstance(position, np.ndarray)
+    # on and off a semi-photon's support
+    for kind in (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS):
+        cfg = _cfg(kind)
+        for l in np.linspace(-0.3, 1.3, 97) * LAM:
+            l = float(l)
+            x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
+            s = field_at(cfg, l)
+            dec = displacement_current(cfg, l)
+            position = frenet_at(RING, l).position
+            assert s.E.tolist() == [ex, ey, 0.0], (kind, l)
+            assert s.H.tolist() == [0.0, 0.0, hz], (kind, l)
+            assert (dec.j_n_scalar, dec.j_tau_scalar) == (jn, jtau)
+            assert position.tolist() == [x, y, 0.0], (kind, l)
+        assert isinstance(s.E, np.ndarray) and isinstance(dec.j_n, np.ndarray)
+        assert isinstance(position, np.ndarray)
 
 
 def test_grid_equals_linspace():

@@ -38,7 +38,7 @@ K = codata_constants()
 PHOTON = pair_threshold_photon(K)
 RING = ring_from_radius(PHOTON.r_p, K.c)
 PACKET = WavePacket(e_o=1.0, omega=PHOTON.omega_p, energy=PHOTON.energy,
-                    volume=PHOTON.volume, direction=(1.0, 0.0, 0.0))
+                    volume=PHOTON.volume)
 ANY_FLOAT = st.floats()
 
 
@@ -55,7 +55,8 @@ def _finite_non_negative(*values: float) -> bool:
 @example(1e200, 1e200)  # pi r_c^2 overflows
 def test_torus_shape_takes_finite_positive_radii_with_zeta_at_most_1(r_s, r_c):
     if _finite_positive(r_s, r_c, math.pi * r_c * r_c) and r_c <= r_s:
-        assert TorusShape(r_s, r_c).zeta <= 1.0  # may underflow to 0.0
+        shape = TorusShape(r_s, r_c)
+        assert shape.r_c / shape.r_s <= 1.0  # may underflow to 0.0
     else:
         with pytest.raises(DomainError):
             TorusShape(r_s, r_c)
@@ -92,14 +93,6 @@ def test_wave_packet_takes_finite_positive_values(name, value):
             dataclasses.replace(PACKET, **{name: value})
 
 
-@given(st.integers(0, 2), st.sampled_from([math.nan, math.inf, -math.inf]))
-def test_wave_packet_refuses_a_non_finite_direction(axis, bad):
-    direction = [1.0, 0.0, 0.0]
-    direction[axis] = bad
-    with pytest.raises(DomainError):
-        dataclasses.replace(PACKET, direction=tuple(direction))
-
-
 @given(ANY_FLOAT)
 def test_field_amplitude_is_finite_positive_and_keeps_the_current_finite(e_o):
     if _finite_positive(e_o, e_o * RING.omega_K):
@@ -132,8 +125,9 @@ def test_quadrature_spec_takes_an_integer_panel_count_of_at_least_1(panels):
 
 @given(ANY_FLOAT)
 @example(math.nan)
+@example(5e-324)  # E_o/omega overflows
 def test_invariant_constants_take_a_finite_positive_frequency(omega):
-    if _finite_positive(omega):
+    if _finite_positive(omega) and math.isfinite(1.0 / omega):
         assert invariant_constants(1.0, omega, 1.0, 1.0) == InvariantConstants(
             1.0 / omega, 1.0 / omega, omega)
     else:
@@ -145,12 +139,13 @@ def test_invariant_constants_take_a_finite_positive_frequency(omega):
 @example("e_o", math.nan)
 @example("energy", math.inf)
 @example("volume", -math.inf)
+@example("volume", sys.float_info.max)  # volume * omega overflows
 def test_invariant_constants_take_a_finite_amplitude_energy_and_volume(name, value):
     args = {"e_o": 1.0, "omega": 2.0, "energy": 1.0, "volume": 1.0}
     args[name] = value
-    if math.isfinite(value):
-        assert invariant_constants(**args) == InvariantConstants(
-            args["e_o"] / 2.0, args["energy"] / 2.0, args["volume"] * 2.0)
+    ratios = (args["e_o"] / 2.0, args["energy"] / 2.0, args["volume"] * 2.0)
+    if all(map(math.isfinite, ratios)):
+        assert invariant_constants(**args) == InvariantConstants(*ratios)
     else:
         with pytest.raises(DomainError):
             invariant_constants(**args)
@@ -174,8 +169,11 @@ def test_uncertainty_length_takes_a_finite_positive_energy(energy):
 @given(ANY_FLOAT, ANY_FLOAT)
 @example(math.nan, K.m_e)
 @example(1.0, math.inf)
+@example(1e300, 0.0)  # c k overflows
+@example(0.0, 1e300)  # m c^2/hbar overflows
 def test_dispersion_takes_a_finite_non_negative_wave_number_and_mass(k_wave, mass):
-    if _finite_non_negative(k_wave, mass):
+    if _finite_non_negative(k_wave, mass) and math.isfinite(
+            math.hypot(K.c * k_wave, mass * K.c * K.c / K.hbar)):
         assert dispersion_omega(k_wave, mass, K) >= 0.0
     else:
         with pytest.raises(DomainError):

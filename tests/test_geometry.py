@@ -18,9 +18,9 @@ K = codata_constants()
 
 def test_ring_record_fields():
     ring = ring_from_radius(2.0, K.c)
-    # radius, speed and handedness are the only inputs; the rest is derived
+    # radius and speed are the only inputs; the rest is derived
     inputs = tuple(f.name for f in dataclasses.fields(ring) if f.init)
-    assert inputs == ("r_k", "c", "handedness")
+    assert inputs == ("r_k", "c")
     assert ring.K == 0.5
     assert ring.omega_K == K.c / 2.0
     assert abs(ring.circumference / (4.0 * math.pi) - 1.0) < 1e-15
@@ -42,8 +42,6 @@ def test_invalid_ring_inputs():
         ring_from_radius(0.0, K.c)
     with pytest.raises(DomainError):
         ring_from_radius(1.0, -1.0)
-    with pytest.raises(DomainError):
-        ring_from_radius(1.0, K.c, handedness="widdershins")
 
 
 def test_frame_at_origin_of_arc():
@@ -78,14 +76,6 @@ def test_frame_orthonormal_everywhere():
         assert abs(np.dot(f.tangent, f.normal)) < 1e-14
 
 
-def test_clockwise_ring_reverses_travel():
-    ccw = ring_from_radius(1.0, K.c)
-    cw = ring_from_radius(1.0, K.c, handedness="cw")
-    l = 0.37
-    assert np.allclose(frenet_at(cw, l).position, frenet_at(ccw, -l).position)
-    assert np.allclose(frenet_at(cw, 0.0).tangent, -frenet_at(ccw, 0.0).tangent)
-
-
 def test_normal_rate_magnitude_and_direction():
     ring = ring_from_radius(1.0, K.c)
     rate = normal_rate(ring, K.c, 0.0)
@@ -118,7 +108,8 @@ def test_torus_metrics_values():
 
 
 def test_zeta_ratio_and_bounds():
-    assert TorusShape(r_s=4.0, r_c=1.0).zeta == 0.25
+    shape = TorusShape(r_s=4.0, r_c=1.0)
+    assert shape.r_c / shape.r_s == 0.25
     with pytest.raises(DomainError):
         TorusShape(r_s=1.0, r_c=1.5)
     with pytest.raises(DomainError):

@@ -26,7 +26,7 @@ from ringwave import (
     total_mass,
     twirled_field,
 )
-from ringwave.quadrature import _GL5_NODES, _GL5_WEIGHTS, _mass_density
+from ringwave.quadrature import _GL5_NODES, _GL5_WEIGHTS
 
 K = codata_constants()
 SPEC = QuadratureSpec()
@@ -253,15 +253,31 @@ def test_spin_halves_sum_exactly():
 def test_scalar_mass_integrand_matches_field_definition():
     # total_mass integrates a^2/(4 pi c^2); pin it to the vector route
     # (E^2 + H^2)/(8 pi c^2) at every Gauss node of the lobe it integrates
-    model, _, _ = _electron_setup()
-    for handedness in ("ccw", "cw"):
-        ring = ring_from_radius(model.r_s, K.c, handedness)
-        for kind in (KIND_SEMI_PLUS, KIND_SEMI_MINUS):
-            cfg = twirled_field(kind, model.e_o, ring)
-            h = 0.25 * ring.circumference / SPEC.panels
-            for i in range(SPEC.panels):
-                for node in _GL5_NODES:
-                    l = (i + 0.5) * h + 0.5 * h * node
-                    scalar = _mass_density(cfg, l, ring.c)
-                    vector = mass_density(field_at(cfg, l), ring.c)
-                    assert abs(scalar - vector) <= 1e-15 * vector, (handedness, kind, l)
+    model, ring, _ = _electron_setup()
+    for kind in (KIND_SEMI_PLUS, KIND_SEMI_MINUS):
+        cfg = twirled_field(kind, model.e_o, ring)
+        h = 0.25 * ring.circumference / SPEC.panels
+        for i in range(SPEC.panels):
+            for node in _GL5_NODES:
+                l = (i + 0.5) * h + 0.5 * h * node
+                s = field_at(cfg, l)
+                vector = (float(s.E @ s.E) + float(s.H @ s.H)) / (8.0 * math.pi) / (ring.c * ring.c)
+                assert abs(mass_density(cfg, l) - vector) <= 1e-15 * vector, (kind, l)
+
+
+def test_total_mass_integrates_fields_mass_density(monkeypatch):
+    # one mass density: the quadrature calls fields.mass_density at each node
+    import ringwave.quadrature
+
+    calls = []
+
+    def counted(cfg, l):
+        calls.append(l)
+        return mass_density(cfg, l)
+
+    monkeypatch.setattr(ringwave.quadrature, "mass_density", counted)
+    model, ring, _ = _electron_setup()
+    cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
+    spec = QuadratureSpec(panels=7, rule=RULE_GAUSS5)
+    total_mass(cfg, 1.0, spec)
+    assert len(calls) == spec.panels * len(_GL5_NODES)
