@@ -17,19 +17,20 @@ full-precision floats.
 Each _cmd_* imports the modules it runs when it runs, and json loads
 only for --format json, so a short command does not pay start-up time
 for the others (tests/test_lazy_import.py pins the modules per command).
+Likewise the parser is built for the chosen subcommand only: the others
+are registered with their help, but no parser is built for them.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
 from typing import TYPE_CHECKING, Callable
 
 from .constants import PhysicalConstants, codata_constants, electron_scales
-from .errors import EvaluationError, RingwaveError
+from .errors import EvaluationError, RingwaveError, _Record
 
 if TYPE_CHECKING:
     from .lorentz import WavePacket
@@ -45,8 +46,7 @@ _KIND_NAMES = ("photon", "semiplus", "semiminus")
 _CSV_ROW = "%.17g,%.17g,%.17g,0,%.17g,%.17g,0,0,0,%.17g,%.17g,%.17g"
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """Validated invocation parameters.
 
     quadrature is None for every command but `consistency`, whose default
@@ -128,81 +128,99 @@ def _beta_grid_arg(text: str) -> tuple[float, ...]:
     return betas
 
 
+_SUBCOMMANDS = {
+    "constants": "universal constants table",
+    "photon": "pair-threshold photon record",
+    "semiphoton": "semi-photon record and renormalization",
+    "invariants": "Lorentz-boost invariance sweep",
+    "fields": "sample E, H, and currents to CSV",
+    "consistency": "integrated charge/mass vs stated closed forms",
+    "dispersion": "dispersion relation and uncertainty bound",
+}
+
+
+def _subparser(chosen: str | None, **kwargs) -> argparse.ArgumentParser | None:
+    """The chosen subcommand's parser, its options in help order; else None,
+    as only the chosen subcommand parses: the others are never built."""
+    if chosen is None:
+        return None
+    p = argparse.ArgumentParser(**kwargs)
+    if chosen in ("semiphoton", "consistency"):
+        p.add_argument("--zeta", type=_ranged(float, 0.0, 1.0, "(]"),
+                       help=f"torus thinness ratio in (0, 1], default {RunConfig.zeta:g}")
+    if chosen == "semiphoton":
+        p.add_argument("--thomas", action="store_true",
+                       help="apply the Thomas-precession factor 2 to mu_s")
+    elif chosen == "invariants":
+        p.add_argument("--beta-grid", type=_beta_grid_arg, metavar="B1,B2,...",
+                       help="comma-separated boost speeds, each |beta| < 1")
+    elif chosen == "fields":
+        p.add_argument("--kind", choices=sorted(_KIND_NAMES))
+        p.add_argument("--samples", type=_ranged(int, 2, math.inf, "[)"))
+        p.add_argument("--amplitude", type=_ranged(float, 0.0, math.inf, "()"),
+                       help="field amplitude in statV/cm; default is the"
+                            " zeta=1 semi-photon amplitude")
+        p.add_argument("--out", help="write CSV to this path instead of stdout")
+        return p
+    elif chosen == "consistency":
+        p.add_argument("--panels", type=_ranged(int, 1, math.inf, "[)"))
+        # quadrature.RULE_GAUSS5 and RULE_MIDPOINT, spelled out so that parsing
+        # does not import the quadrature module
+        p.add_argument("--rule", choices=("gauss_legendre_5", "midpoint"))
+        p.add_argument("--toroidal-jacobian", action="store_true",
+                       dest="include_toroidal_jacobian",
+                       help="integrate the exact torus volume element")
+    p.add_argument("--format", choices=("table", "json"))
+    p.add_argument("--out", help="write output to this path instead of stdout")
+    return p
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once; each parse fills a new namespace."""
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser for one subcommand, built once; each parse fills a new namespace.
+
+    Every subcommand is registered, so the top-level help and the usage
+    errors list them all; only command's own subparser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="ringwave",
         description="Ring-wave model of the photon and the electron-positron pair",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("table", "json"))
-        p.add_argument("--out", help="write output to this path instead of stdout")
-
-    def add_zeta(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--zeta", type=_ranged(float, 0.0, 1.0, "(]"),
-                       help=f"torus thinness ratio in (0, 1], default {RunConfig.zeta:g}")
-
-    add_common(add_parser("constants", "universal constants table"))
-    add_common(add_parser("photon", "pair-threshold photon record"))
-
-    p_semi = add_parser("semiphoton", "semi-photon record and renormalization")
-    add_zeta(p_semi)
-    p_semi.add_argument("--thomas", action="store_true",
-                        help="apply the Thomas-precession factor 2 to mu_s")
-    add_common(p_semi)
-
-    p_inv = add_parser("invariants", "Lorentz-boost invariance sweep")
-    p_inv.add_argument("--beta-grid", type=_beta_grid_arg, metavar="B1,B2,...",
-                       help="comma-separated boost speeds, each |beta| < 1")
-    add_common(p_inv)
-
-    p_fields = add_parser("fields", "sample E, H, and currents to CSV")
-    p_fields.add_argument("--kind", choices=sorted(_KIND_NAMES))
-    p_fields.add_argument("--samples", type=_ranged(int, 2, math.inf, "[)"))
-    p_fields.add_argument("--amplitude", type=_ranged(float, 0.0, math.inf, "()"),
-                          help="field amplitude in statV/cm; default is the"
-                               " zeta=1 semi-photon amplitude")
-    p_fields.add_argument("--out", help="write CSV to this path instead of stdout")
-
-    p_cons = add_parser("consistency", "integrated charge/mass vs stated closed forms")
-    add_zeta(p_cons)
-    p_cons.add_argument("--panels", type=_ranged(int, 1, math.inf, "[)"))
-    # quadrature.RULE_GAUSS5 and RULE_MIDPOINT, spelled out so that parsing
-    # does not import the quadrature module
-    p_cons.add_argument("--rule", choices=("gauss_legendre_5", "midpoint"))
-    p_cons.add_argument("--toroidal-jacobian", action="store_true",
-                        dest="include_toroidal_jacobian",
-                        help="integrate the exact torus volume element")
-    add_common(p_cons)
-
-    add_common(add_parser("dispersion", "dispersion relation and uncertainty bound"))
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_subparser)
+    for name, help in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS,
+                       chosen=name if name == command else None)
     return parser
 
 
 def parse_args(argv: list[str] | None = None) -> RunConfig:
     """Parse and validate the command line into a RunConfig.
 
-    An option left out takes its default from RunConfig or QuadratureSpec.
+    The subcommand is the first argument that is not an option; the top
+    level takes no option but -h.  An option left out takes its default
+    from RunConfig or QuadratureSpec.
     """
-    ns = vars(_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    ns = vars(_parser(command if command in _SUBCOMMANDS else None).parse_args(argv))
     if ns["command"] == "consistency":
         from .quadrature import QuadratureSpec
 
         ns["quadrature"] = QuadratureSpec(**{
-            f.name: ns.pop(f.name)
-            for f in dataclasses.fields(QuadratureSpec) if f.name in ns})
+            name: ns.pop(name) for name in QuadratureSpec.init_fields if name in ns})
     return RunConfig(**ns)
 
 
-def _constants_data(k: PhysicalConstants) -> list[tuple[str, float, str]]:
+def _named_values(config: RunConfig, data: list[tuple[str, float, str]]) -> tuple[str, int]:
+    """A JSON object of name: value, or a table of (name, value, unit) rows."""
+    if config.format == "json":
+        return _json_text({name: value for name, value, _ in data}), 0
+    return _table([(name, _g6(value), unit) for name, value, unit in data]), 0
+
+
+def _cmd_constants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     scales = electron_scales(k)
-    return [
+    return _named_values(config, [
         ("c", k.c, "cm/s"),
         ("hbar", k.hbar, "erg*s"),
         ("h", k.h, "erg*s"),
@@ -212,14 +230,7 @@ def _constants_data(k: PhysicalConstants) -> list[tuple[str, float, str]]:
         ("r_0", scales.r_0, "cm"),
         ("lambda_bar_c", scales.lambda_bar_c, "cm"),
         ("r_c", scales.lambda_bar_c, "cm"),
-    ]
-
-
-def _cmd_constants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
-    data = _constants_data(k)
-    if config.format == "json":
-        return _json_text({name: value for name, value, _ in data}), 0
-    return _table([(name, _g6(value), unit) for name, value, unit in data]), 0
+    ])
 
 
 _PHOTON_UNITS = {
@@ -243,11 +254,9 @@ _RENORM_UNITS = {
 def _cmd_photon(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     from .model import pair_threshold_photon
 
-    record = dataclasses.asdict(pair_threshold_photon(k))
-    if config.format == "json":
-        return _json_text(record), 0
-    rows = [(name, _g6(value), _PHOTON_UNITS[name]) for name, value in record.items()]
-    return _table(rows), 0
+    record = pair_threshold_photon(k).asdict()
+    return _named_values(config, [(name, value, _PHOTON_UNITS[name])
+                                  for name, value in record.items()])
 
 
 def _cmd_semiphoton(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
@@ -255,7 +264,7 @@ def _cmd_semiphoton(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     from .renorm import vacuum_polarization
 
     model = semi_photon_model(config.zeta, k)
-    record = dataclasses.asdict(model)
+    record = model.asdict()
     record["mu_s"] = magnetic_moment(
         model.q_s, model.r_s, model.omega_s, k.c, thomas=config.thomas
     )
@@ -267,7 +276,7 @@ def _cmd_semiphoton(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
         return _json_text({
             "model": record,
             "thomas": config.thomas,
-            "renormalization": dataclasses.asdict(vp) if vp is not None else None,
+            "renormalization": vp.asdict() if vp is not None else None,
         }), 0
 
     rows = [("[model]", "", "")]
@@ -277,7 +286,7 @@ def _cmd_semiphoton(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     rows.append(("thomas", "on" if config.thomas else "off", ""))
     if vp is not None:
         rows.append(("[renormalization]", "", ""))
-        for name, value in dataclasses.asdict(vp).items():
+        for name, value in vp.asdict().items():
             rows.append((name, _g6(value), _RENORM_UNITS[name]))
         rows.append(("q_bare/e", _g6(vp.q_bare / k.e), ""))
     else:
@@ -292,12 +301,7 @@ def _threshold_packet(k: PhysicalConstants) -> WavePacket:
 
     photon = pair_threshold_photon(k)
     amp = semi_photon_model(1.0, k).e_o
-    return WavePacket(
-        e_o=amp,
-        omega=photon.omega_p,
-        energy=photon.energy,
-        volume=photon.volume,
-    )
+    return WavePacket(amp, photon.omega_p, photon.energy, photon.volume)
 
 
 def _cmd_invariants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
@@ -381,7 +385,7 @@ def _cmd_consistency(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]
     }
 
     if config.format == "json":
-        return _json_text({name: dataclasses.asdict(r) for name, r in reports.items()}), 0
+        return _json_text({name: r.asdict() for name, r in reports.items()}), 0
 
     header = (f"{'quantity':<20}  {'integrated':>13}  {'closed form':>13}  "
               f"{'factor':>7}")
@@ -400,7 +404,7 @@ def _cmd_dispersion(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     photon = pair_threshold_photon(k)
     k_ref = 1.0 / photon.r_p
     lam_planck, lam_alpha = uncertainty_min_length(photon.energy, k)
-    data = [
+    return _named_values(config, [
         ("omega_at_k0_m_e", dispersion_omega(0.0, k.m_e, k), "rad/s"),
         ("m_e_c2_over_hbar", k.m_e * k.c * k.c / k.hbar, "rad/s"),
         ("omega_massless_at_k_ref", dispersion_omega(k_ref, 0.0, k), "rad/s"),
@@ -409,10 +413,7 @@ def _cmd_dispersion(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
         ("lambda_min_planck_form", lam_planck, "cm"),
         ("lambda_min_alpha_form", lam_alpha, "cm"),
         ("lambda_p", photon.lambda_p, "cm"),
-    ]
-    if config.format == "json":
-        return _json_text({name: value for name, value, _ in data}), 0
-    return _table([(name, _g6(value), unit) for name, value, unit in data]), 0
+    ])
 
 
 _COMMANDS = {

@@ -14,9 +14,8 @@ published decimal to 7e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import _Record, _require_positive
 
 C_LIGHT = 2.99792458e10        # speed of light, cm/s (exact)
 H_PLANCK = 6.62607015e-27      # Planck constant, erg*s (exact)
@@ -26,8 +25,7 @@ M_ELECTRON = 9.1093837015e-28  # electron mass, g
 ALPHA_EXP = 7.2973525693e-3    # fine-structure constant, measured
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(_Record):
     """Bundle of universal constants.
 
     c : speed of light (cm/s)
@@ -46,14 +44,10 @@ class PhysicalConstants:
     alpha_exp: float
 
     def __post_init__(self) -> None:
-        for name in ("c", "hbar", "h", "e", "m_e", "alpha_exp"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"constant {name} must be finite and positive: {value}")
+        _require_positive(self.asdict(), "constant ")
 
 
-@dataclass(frozen=True)
-class ElectronScales:
+class ElectronScales(_Record):
     """Characteristic electron lengths (cm).
 
     r_0 : classical electron radius, e^2 / (m_e c^2)
@@ -66,14 +60,7 @@ class ElectronScales:
 
 def codata_constants() -> PhysicalConstants:
     """Return the CODATA 2018 constants in Gaussian CGS units."""
-    return PhysicalConstants(
-        c=C_LIGHT,
-        hbar=HBAR,
-        h=H_PLANCK,
-        e=E_CHARGE,
-        m_e=M_ELECTRON,
-        alpha_exp=ALPHA_EXP,
-    )
+    return PhysicalConstants(C_LIGHT, HBAR, H_PLANCK, E_CHARGE, M_ELECTRON, ALPHA_EXP)
 
 
 def electron_scales(k: PhysicalConstants) -> ElectronScales:

@@ -21,10 +21,9 @@ the one the finite-difference oracles in the tests differentiate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import _DERIVED, DomainError, _Record, _require_positive
 from .geometry import RingGeometry, _outward, frenet_at
 
 if TYPE_CHECKING:
@@ -37,8 +36,7 @@ KIND_SEMI_MINUS = "semi_photon_minus"
 TWIRLED_KINDS = (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS)
 
 
-@dataclass(frozen=True)
-class FieldConfiguration:
+class FieldConfiguration(_Record):
     """Immutable description of one wave configuration.
 
     kind : one of twirled_photon / semi_photon_plus / semi_photon_minus
@@ -54,13 +52,12 @@ class FieldConfiguration:
     kind: str
     e_o: float
     geometry: RingGeometry
-    support: tuple[float, float] = field(init=False)
+    support: tuple[float, float] = _DERIVED
 
     def __post_init__(self) -> None:
         if self.kind not in TWIRLED_KINDS:
             raise DomainError(f"not a twirled kind: {self.kind!r}")
-        if not (math.isfinite(self.e_o) and self.e_o > 0.0):
-            raise DomainError(f"field amplitude must be finite and positive: {self.e_o}")
+        _require_positive({"field amplitude": self.e_o})
         if not math.isfinite(self.e_o * self.geometry.omega_K):  # bounds |jn| and |jtau|
             raise DomainError(f"displacement current overflows at amplitude {self.e_o:g}")
         lam = self.geometry.circumference
@@ -72,8 +69,7 @@ class FieldConfiguration:
         return -1.0 if self.kind == KIND_SEMI_MINUS else 1.0
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(_Record):
     """Fields at one arc-length position."""
 
     l: float
@@ -81,8 +77,7 @@ class FieldSample:
     H: np.ndarray
 
 
-@dataclass(frozen=True)
-class CurrentDecomposition:
+class CurrentDecomposition(_Record):
     """Displacement current split into normal and tangential parts.
 
     j_n, j_tau : 3-vectors (statA/cm^2)

@@ -11,17 +11,15 @@ the axis), so the Frenet relation reads dT/dl = +K n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
+from .errors import _DERIVED, DomainError, _Record, _require_positive
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class RingGeometry:
+class RingGeometry(_Record):
     """A circle of radius r_k travelled at the wave speed c.
 
     r_k : ring radius (cm)
@@ -35,27 +33,20 @@ class RingGeometry:
 
     r_k: float
     c: float
-    K: float = field(init=False)
-    omega_K: float = field(init=False)
-    circumference: float = field(init=False)
+    K: float = _DERIVED
+    omega_K: float = _DERIVED
+    circumference: float = _DERIVED
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_k) and self.r_k > 0.0):
-            raise DomainError(f"ring radius must be finite and positive: {self.r_k}")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise DomainError(f"wave speed must be finite and positive: {self.c}")
+        _require_positive({"ring radius": self.r_k, "wave speed": self.c})
         derived = {"K": 1.0 / self.r_k, "omega_K": self.c / self.r_k,
                    "circumference": 2.0 * math.pi * self.r_k}
+        _require_positive(derived, f"ring of radius {self.r_k} at speed {self.c}: ")
         for name, value in derived.items():
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(
-                    f"ring of radius {self.r_k} at speed {self.c} has {name} = {value}"
-                )
             object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class FrenetFrame:
+class FrenetFrame(_Record):
     """Right-handed moving frame at a point of the ring."""
 
     position: np.ndarray
@@ -63,8 +54,7 @@ class FrenetFrame:
     normal: np.ndarray
 
 
-@dataclass(frozen=True)
-class TorusShape:
+class TorusShape(_Record):
     """Torus with ring radius r_s and cross-section radius r_c.
 
     The thinness ratio zeta = r_c / r_s must lie in (0, 1]; zeta = 1 is
@@ -75,17 +65,13 @@ class TorusShape:
     r_c: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_s) and self.r_s > 0.0):
-            raise DomainError(f"torus ring radius must be finite and positive: {self.r_s}")
-        if not (math.isfinite(self.r_c) and self.r_c > 0.0):
-            raise DomainError(f"torus section radius must be finite and positive: {self.r_c}")
+        _require_positive({"ring radius": self.r_s, "section radius": self.r_c}, "torus ")
         if self.r_c > self.r_s:
             raise DomainError(
                 f"section radius {self.r_c} exceeds ring radius {self.r_s}"
                 " (zeta must lie in (0, 1])"
             )
-        if not (math.isfinite(self.section_area) and self.section_area > 0.0):
-            raise DomainError(f"torus section area is {self.section_area} at r_c = {self.r_c}")
+        _require_positive({f"torus section area at r_c = {self.r_c}": self.section_area})
 
     @property
     def section_area(self) -> float:

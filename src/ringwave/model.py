@@ -14,17 +14,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .constants import PhysicalConstants
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, _Record, _require_positive
 
 SIGN_PLUS = "plus"
 SIGN_MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class PhotonModel:
+class PhotonModel(_Record):
     """Ring-photon parameters.
 
     energy erg; momentum g*cm/s; omega_p rad/s; lambda_p cm; r_p cm;
@@ -45,8 +43,7 @@ class PhotonModel:
     nu: float
 
 
-@dataclass(frozen=True)
-class InvariantConstants:
+class InvariantConstants(_Record):
     """Boost-invariant combinations of a wave packet.
 
     c1 = E_o/omega, c2 = energy/omega, c3 = volume*omega.  For a
@@ -58,8 +55,7 @@ class InvariantConstants:
     c3: float
 
 
-@dataclass(frozen=True)
-class SemiPhotonModel:
+class SemiPhotonModel(_Record):
     """Half of the pair-threshold photon: the electron/positron record.
 
     zeta : torus thinness ratio r_c/r_s
@@ -91,17 +87,9 @@ def pair_threshold_photon(k: PhysicalConstants) -> PhotonModel:
     lambda_p = 2.0 * math.pi * r_p
     s_p = math.pi * r_p * r_p
     return PhotonModel(
-        energy=energy,
-        momentum=energy / k.c,
-        omega_p=omega,
-        lambda_p=lambda_p,
-        r_p=r_p,
-        s_p=s_p,
-        volume=lambda_p * s_p,
-        spin=k.hbar,
-        mass_equivalent=energy / (k.c * k.c),
-        n=1.0,
-        nu=omega / (2.0 * math.pi),
+        energy=energy, momentum=energy / k.c, omega_p=omega, lambda_p=lambda_p,
+        r_p=r_p, s_p=s_p, volume=lambda_p * s_p, spin=k.hbar,
+        mass_equivalent=energy / (k.c * k.c), n=1.0, nu=omega / (2.0 * math.pi),
     )
 
 
@@ -126,8 +114,7 @@ def uncertainty_min_length(energy: float, k: PhysicalConstants) -> tuple[float, 
     energy whose bound is below the smallest normal double is refused:
     there the forms round apart.
     """
-    if not (math.isfinite(energy) and energy > 0.0):
-        raise DomainError(f"energy must be finite and positive: {energy}")
+    _require_positive({"energy": energy})
     planck_form = 2.0 * math.pi * k.hbar * k.c / energy
     if planck_form < sys.float_info.min:
         raise DomainError(f"energy {energy} puts the bound below the smallest"
@@ -168,10 +155,16 @@ def magnetic_moment(
     """Moment of the ring current I = q omega/2pi over area pi r_s^2.
 
     Gaussian current-loop formula mu = I S / c; the optional Thomas
-    factor doubles it.
+    factor doubles it.  A moment that overflows is refused.
     """
+    if not math.isfinite(q):
+        raise DomainError(f"charge must be finite: {q}")
+    _require_positive({"ring radius": r_s, "ring frequency": omega_s, "wave speed": c})
     mu = (q * omega_s / (2.0 * math.pi)) * (math.pi * r_s * r_s) / c
-    return 2.0 * mu if thomas else mu
+    mu = 2.0 * mu if thomas else mu
+    if not math.isfinite(mu):
+        raise DomainError(f"magnetic moment overflows at q = {q}, r_s = {r_s}")
+    return mu
 
 
 def semi_photon_model(
@@ -202,16 +195,9 @@ def semi_photon_model(
     q_mag = zeta * zeta * e_o * r_s * r_s
     q_s = q_mag if sign == SIGN_PLUS else -q_mag
     return SemiPhotonModel(
-        zeta=zeta,
-        e_o=e_o,
-        r_s=r_s,
-        omega_s=omega_s,
-        q_s=q_s,
-        m_s=m_s,
-        alpha_s=q_mag * q_mag / (k.hbar * k.c),
-        sigma_s=0.5 * k.hbar,
-        mu_s=magnetic_moment(q_s, r_s, omega_s, k.c),
-        sign=sign,
+        zeta=zeta, e_o=e_o, r_s=r_s, omega_s=omega_s, q_s=q_s, m_s=m_s,
+        alpha_s=q_mag * q_mag / (k.hbar * k.c), sigma_s=0.5 * k.hbar,
+        mu_s=magnetic_moment(q_s, r_s, omega_s, k.c), sign=sign,
     )
 
 

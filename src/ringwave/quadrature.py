@@ -15,10 +15,9 @@ field makes the gap visible instead of absorbing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import DomainError, EvaluationError
+from .errors import _DERIVED, DomainError, EvaluationError, _Record
 from .fields import KIND_PHOTON, FieldConfiguration, charge_density, mass_density
 from .geometry import TorusShape
 
@@ -49,8 +48,7 @@ _GL5_WEIGHTS = (
 )
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_Record):
     """Composite-rule parameters.
 
     panels : number of equal subintervals, an integer >= 1
@@ -70,8 +68,7 @@ class QuadratureSpec:
             raise DomainError(f"unknown quadrature rule {self.rule!r}")
 
 
-@dataclass(frozen=True)
-class IntegralReport:
+class IntegralReport(_Record):
     """Numerical value next to the stated closed form.
 
     section_factor is the ratio of the cross-section measure actually
@@ -83,8 +80,8 @@ class IntegralReport:
 
     value: float
     closed_form: float
-    abs_error: float = field(init=False)
-    discrepancy_factor: float | None = field(init=False)
+    abs_error: float = _DERIVED
+    discrepancy_factor: float | None = _DERIVED
     section_factor: float
 
     def __post_init__(self) -> None:

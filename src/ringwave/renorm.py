@@ -12,14 +12,12 @@ wavelength.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import PhysicalConstants, electron_scales
-from .errors import DomainError
+from .errors import DomainError, _Record
 
 
-@dataclass(frozen=True)
-class VacuumPolarization:
+class VacuumPolarization(_Record):
     """Screening summary.
 
     eps_v : vacuum dielectric permeability, alpha_bare/alpha_exp
@@ -51,12 +49,8 @@ def vacuum_polarization(alpha_bare: float, k: PhysicalConstants) -> VacuumPolari
     eps_v = alpha_bare / k.alpha_exp
     scales = electron_scales(k)
     return VacuumPolarization(
-        eps_v=eps_v,
-        alpha_bare=alpha_bare,
-        alpha_exp=k.alpha_exp,
-        q_bare=k.e * math.sqrt(eps_v),
-        q_exp=k.e,
-        r_bare=scales.r_0 / k.alpha_exp,
-        r_0=scales.r_0,
+        eps_v=eps_v, alpha_bare=alpha_bare, alpha_exp=k.alpha_exp,
+        q_bare=k.e * math.sqrt(eps_v), q_exp=k.e,
+        r_bare=scales.r_0 / k.alpha_exp, r_0=scales.r_0,
     )
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -311,7 +310,7 @@ def test_consistency_rule_and_jacobian_flags(capsys):
 
 
 def test_consistency_takes_zeta(capsys):
-    config = dataclasses.replace(parse_args(["consistency"]), zeta=0.5)
+    config = parse_args(["consistency"]).replace(zeta=0.5)
     assert parse_args(["consistency", "--zeta", "0.5"]) == config
     assert run(config) == 0
     expected = capsys.readouterr().out
@@ -343,7 +342,7 @@ def test_parse_args_defaults():
     assert config.thomas is False
     config = parse_args(["consistency", "--panels", "128"])
     assert config.quadrature.panels == 128
-    # every option left out takes the dataclass default
+    # every option left out takes the record default
     for command in ("constants", "photon", "semiphoton", "invariants",
                     "fields", "consistency", "dispersion"):
         assert parse_args([command]) == RunConfig(command=command)
@@ -351,7 +350,7 @@ def test_parse_args_defaults():
 
 
 def test_reused_parser_keeps_no_state(capsys):
-    # one parser serves every call in a process; no value outlives its call
+    # one parser per subcommand serves every call in a process; no value outlives its call
     assert parse_args(["fields", "--samples", "5"]).samples == 5
     assert parse_args(["fields"]).samples == 256
     for bad in (["fields", "--samples", "7", "--kind", "electron"],
@@ -383,6 +382,18 @@ def test_reused_parser_errors_match_a_fresh_process(capsys, monkeypatch, argv):
     )
     assert (exc.value.code, captured.out, captured.err) == (
         fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-5", "photon"], ["-", "photon"], ["--", "photon"], ["--bogus", "photon"],
+    ["photon", "constants"],
+])
+def test_only_the_first_argument_that_is_not_an_option_picks_the_parser(capsys, argv):
+    # a parser is built for that command alone; any other order is a usage error
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+    assert "usage: ringwave" in capsys.readouterr().err
 
 
 def test_range_edges_are_accepted():
@@ -420,7 +431,7 @@ def test_invariants_gate_fails_on_nan_deviation(capsys, monkeypatch):
     def nan_at_first_beta(packet, beta):
         report = real(packet, beta)
         if beta == -0.5:
-            report = dataclasses.replace(report, ratio_deviations=math.nan)
+            report = report.replace(ratio_deviations=math.nan)
         return report
 
     monkeypatch.setattr(lorentz, "boost_packet", nan_at_first_beta)
@@ -449,7 +460,7 @@ def test_json_refuses_non_finite_values(capsys, monkeypatch):
 
     real = model.pair_threshold_photon
     monkeypatch.setattr(model, "pair_threshold_photon",
-                        lambda k: dataclasses.replace(real(k), energy=math.nan))
+                        lambda k: real(k).replace(energy=math.nan))
     code, out, err = run_cli(capsys, ["photon", "--format", "json"])
     assert code == 1
     assert out == ""

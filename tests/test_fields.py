@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +37,7 @@ def _cfg(kind):
 def test_twirled_configuration_invariants():
     cfg = _cfg(KIND_PHOTON)
     # kind, amplitude and ring are the only inputs; the rest is derived
-    inputs = tuple(f.name for f in dataclasses.fields(cfg) if f.init)
+    inputs = cfg.init_fields
     assert inputs == ("kind", "e_o", "geometry")
     assert cfg.geometry.K * K.c == cfg.geometry.omega_K
     assert cfg.support == (0.0, RING.circumference)

@@ -7,7 +7,6 @@ record also refuses finite inputs whose derived values over- or
 underflow; the examples pin one such input each.
 """
 
-import dataclasses
 import math
 import sys
 
@@ -26,6 +25,7 @@ from ringwave import (
     dispersion_omega,
     integrate_line,
     invariant_constants,
+    magnetic_moment,
     normal_rate,
     pair_threshold_photon,
     ring_from_radius,
@@ -75,22 +75,22 @@ def test_ring_takes_finite_positive_radius_and_speed(r_k, c):
             ring_from_radius(r_k, c)
 
 
-@given(st.sampled_from([f.name for f in dataclasses.fields(K)]), ANY_FLOAT)
+@given(st.sampled_from(K.init_fields), ANY_FLOAT)
 def test_physical_constants_take_finite_positive_values(name, value):
     if _finite_positive(value):
-        assert getattr(dataclasses.replace(K, **{name: value}), name) == value
+        assert getattr(K.replace(**{name: value}), name) == value
     else:
         with pytest.raises(DomainError):
-            dataclasses.replace(K, **{name: value})
+            K.replace(**{name: value})
 
 
 @given(st.sampled_from(["e_o", "omega", "energy", "volume"]), ANY_FLOAT)
 def test_wave_packet_takes_finite_positive_values(name, value):
     if _finite_positive(value):
-        assert getattr(dataclasses.replace(PACKET, **{name: value}), name) == value
+        assert getattr(PACKET.replace(**{name: value}), name) == value
     else:
         with pytest.raises(DomainError):
-            dataclasses.replace(PACKET, **{name: value})
+            PACKET.replace(**{name: value})
 
 
 @given(ANY_FLOAT)
@@ -201,3 +201,22 @@ def test_normal_rate_takes_a_non_negative_speed_whose_rate_is_finite(v):
     else:
         with pytest.raises(DomainError):
             normal_rate(RING, v, 0.0)
+
+
+# no valid CLI input reaches these: semiphoton passes a finite q_s, r_s, omega_s
+@given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, st.booleans())
+@example(math.nan, 1.0, 1.0, 1.0, False)
+@example(1.0, 1.0, 1.0, 0.0, False)  # c = 0 would divide by zero
+@example(1e300, 1e300, 1e300, 1e-300, False)  # the moment overflows
+@example(1e308, 1.0, 1.0, 0.5, True)  # only the Thomas factor overflows
+def test_magnetic_moment_takes_a_finite_charge_and_a_finite_positive_ring(
+        q, r_s, omega_s, c, thomas):
+    mu = math.nan
+    if math.isfinite(q) and _finite_positive(r_s, omega_s, c):
+        mu = (q * omega_s / (2.0 * math.pi)) * (math.pi * r_s * r_s) / c
+        mu = 2.0 * mu if thomas else mu
+    if math.isfinite(mu):
+        assert magnetic_moment(q, r_s, omega_s, c, thomas=thomas) == mu
+    else:
+        with pytest.raises(DomainError):
+            magnetic_moment(q, r_s, omega_s, c, thomas=thomas)

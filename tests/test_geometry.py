@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +18,7 @@ K = codata_constants()
 def test_ring_record_fields():
     ring = ring_from_radius(2.0, K.c)
     # radius and speed are the only inputs; the rest is derived
-    inputs = tuple(f.name for f in dataclasses.fields(ring) if f.init)
+    inputs = ring.init_fields
     assert inputs == ("r_k", "c")
     assert ring.K == 0.5
     assert ring.omega_K == K.c / 2.0

@@ -1,4 +1,5 @@
-"""Each subcommand imports only the modules it runs; numpy never.
+"""Each subcommand imports only the modules it runs; numpy, dataclasses
+and inspect never.
 
 The probes run in fresh interpreters, because sys.modules only grows.
 """
@@ -28,15 +29,17 @@ SCALAR_COMMANDS = (
 )
 
 # Runs in a fresh interpreter: reports, after `import ringwave.cli` and
-# after each command, whether numpy had been imported by then.
+# after each command, whether the module named by the second argument had
+# been imported by then.
 PROBE = """
 import contextlib, io, json, sys
 import ringwave.cli
-loaded = {"import ringwave.cli": "numpy" in sys.modules}
+module = sys.argv[2]
+loaded = {"import ringwave.cli": module in sys.modules}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = ringwave.cli.main(argv)
-    loaded[" ".join(argv)] = [code, "numpy" in sys.modules]
+    loaded[" ".join(argv)] = [code, module in sys.modules]
 print(json.dumps(loaded))
 """
 
@@ -72,8 +75,8 @@ def _run(code, *args):
     return proc.stdout
 
 
-def _probe(commands):
-    return json.loads(_run(PROBE, json.dumps(commands)))
+def _probe(commands, module="numpy"):
+    return json.loads(_run(PROBE, json.dumps(commands), module))
 
 
 def test_scalar_commands_never_import_numpy():
@@ -82,6 +85,16 @@ def test_scalar_commands_never_import_numpy():
     for command, (code, numpy_loaded) in loaded.items():
         assert code == 0, command
         assert numpy_loaded is False, command
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_no_command_imports_dataclasses_or_inspect(module):
+    # the records derive from errors._Record, which needs neither
+    loaded = _probe(list(SCALAR_COMMANDS), module)
+    assert loaded.pop("import ringwave.cli") is False
+    for command, (code, module_loaded) in loaded.items():
+        assert code == 0, command
+        assert module_loaded is False, command
 
 
 @pytest.mark.parametrize("command", sorted(MODULES_PER_COMMAND))

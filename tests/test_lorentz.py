@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -29,7 +28,7 @@ PACKET = WavePacket(
 
 def test_packet_validation():
     # amplitude, frequency, energy and volume are the only inputs
-    inputs = tuple(f.name for f in dataclasses.fields(PACKET) if f.init)
+    inputs = PACKET.init_fields
     assert inputs == ("e_o", "omega", "energy", "volume")
     with pytest.raises(DomainError):
         WavePacket(1.0, 0.0, 1.0, 1.0)

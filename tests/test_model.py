@@ -209,15 +209,13 @@ def test_split_preserves_geometry_and_balances_charge():
 
 
 def test_split_rejects_off_threshold_photon():
-    import dataclasses
-    heavier = dataclasses.replace(PHOTON, energy=1.5 * PHOTON.energy)
+    heavier = PHOTON.replace(energy=1.5 * PHOTON.energy)
     with pytest.raises(DomainError):
         split_photon(heavier, K)
 
 
 def test_uncertainty_forms_guard():
     # a constants set with an inconsistent alpha trips the cross-check
-    import dataclasses
-    bad = dataclasses.replace(K, alpha_exp=7.3e-3)
+    bad = K.replace(alpha_exp=7.3e-3)
     with pytest.raises(EvaluationError):
         uncertainty_min_length(PHOTON.energy, bad)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -42,13 +41,13 @@ def test_spec_validation():
 def test_integral_report_record_fields():
     report = IntegralReport(value=1.5, closed_form=3.0, section_factor=1.0)
     # value, closed form and section factor are the only inputs; the rest is derived
-    inputs = tuple(f.name for f in dataclasses.fields(report) if f.init)
+    inputs = report.init_fields
     assert inputs == ("value", "closed_form", "section_factor")
     assert (report.abs_error, report.discrepancy_factor) == (1.5, 0.5)
     neutral = IntegralReport(value=-2e-30, closed_form=0.0, section_factor=1.0)
     assert (neutral.abs_error, neutral.discrepancy_factor) == (2e-30, None)
     # the key order of the consistency JSON
-    assert list(dataclasses.asdict(report)) == [
+    assert list(report.asdict()) == [
         "value", "closed_form", "abs_error", "discrepancy_factor", "section_factor"]
 
 
