@@ -1,4 +1,4 @@
-"""Exception types, and the frozen-record base, shared across the package."""
+"""Exception types, the frozen-record base and the 3-vector type of the package."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ def _require_positive(values: dict[str, float], prefix: str = "") -> None:
             raise DomainError(f"{prefix}{name} must be finite and positive: {value}")
 
 
+_Vec3 = tuple[float, float, float]  # every 3-vector the package returns
 _DERIVED = object()  # the class-attribute value of a field that __post_init__ sets
 
 

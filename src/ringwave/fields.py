@@ -21,13 +21,9 @@ the one the finite-difference oracles in the tests differentiate.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
-from .errors import _DERIVED, DomainError, _Record, _require_positive
+from .errors import _DERIVED, DomainError, _Record, _require_positive, _Vec3
 from .geometry import RingGeometry, _outward, frenet_at
-
-if TYPE_CHECKING:
-    import numpy as np
 
 KIND_PHOTON = "twirled_photon"
 KIND_SEMI_PLUS = "semi_photon_plus"
@@ -73,8 +69,8 @@ class FieldSample(_Record):
     """Fields at one arc-length position."""
 
     l: float
-    E: np.ndarray
-    H: np.ndarray
+    E: _Vec3
+    H: _Vec3
 
 
 class CurrentDecomposition(_Record):
@@ -86,8 +82,8 @@ class CurrentDecomposition(_Record):
     complex_form : j_n_scalar + i*j_tau_scalar
     """
 
-    j_n: np.ndarray
-    j_tau: np.ndarray
+    j_n: _Vec3
+    j_tau: _Vec3
     j_n_scalar: float
     j_tau_scalar: float
     complex_form: complex
@@ -122,12 +118,16 @@ def _ring_phase(cfg: FieldConfiguration, l: float) -> float | None:
     """Phase k l, l wrapped by one circumference.
 
     None outside the configured support, which ends at support[1] give
-    or take rounding.
+    or take rounding.  Refuses a NaN or infinite l, which wraps to NaN;
+    a point on the support pays no check for it.
     """
     ring = cfg.geometry
     lw = l % ring.circumference
-    if lw > cfg.support[1] and not math.isclose(lw, cfg.support[1]):
-        return None
+    if not lw <= cfg.support[1]:  # past the support, or NaN
+        if not math.isfinite(l):
+            raise DomainError(f"arc length must be finite: {l}")
+        if not math.isclose(lw, cfg.support[1]):
+            return None
     return ring.K * lw
 
 
@@ -135,7 +135,8 @@ def _point(cfg: FieldConfiguration, l: float) -> tuple[float, ...]:
     """x, y, Ex, Ey, Hz, jn, jtau at arc length l, as floats.
 
     The one evaluation behind field_at, displacement_current and the
-    `fields` CSV; those two give the physics.
+    `fields` CSV; those two give the physics.  _outward refuses a
+    non-finite l before _ring_phase needs to.
     """
     ring = cfg.geometry
     cp, sp = _outward(ring, l)
@@ -152,7 +153,7 @@ def _point(cfg: FieldConfiguration, l: float) -> tuple[float, ...]:
 
 def _grid(cfg: FieldConfiguration, n: int) -> list[float]:
     """n equally spaced arc lengths over the support, endpoints inclusive:
-    np.linspace(lo, hi, n) bit for bit (i*step + lo, the last point hi)."""
+    linspace(lo, hi, n) bit for bit (i*step + lo, the last point hi)."""
     if n < 2:
         raise DomainError("need at least 2 samples")
     lo, hi = cfg.support
@@ -167,10 +168,8 @@ def field_at(cfg: FieldConfiguration, l: float) -> FieldSample:
     along the direction of travel and |E| = |H| holds pointwise.  In the
     ring plane tau x r_out = -z, so H = -a(l) z.
     """
-    import numpy as np
-
     _, _, ex, ey, hz, _, _ = _point(cfg, l)
-    return FieldSample(l=l, E=np.array([ex, ey, 0.0]), H=np.array([0.0, 0.0, hz]))
+    return FieldSample(l=l, E=(ex, ey, 0.0), H=(0.0, 0.0, hz))
 
 
 def sample_grid(cfg: FieldConfiguration, n: int) -> list[FieldSample]:
@@ -193,8 +192,8 @@ def displacement_current(cfg: FieldConfiguration, l: float) -> CurrentDecomposit
     frame = frenet_at(cfg.geometry, l)
     *_, jn, jtau = _point(cfg, l)
     return CurrentDecomposition(
-        j_n=jn * frame.normal,
-        j_tau=jtau * frame.tangent,
+        j_n=tuple(jn * n for n in frame.normal),
+        j_tau=tuple(jtau * t for t in frame.tangent),
         j_n_scalar=jn,
         j_tau_scalar=jtau,
         complex_form=complex(jn, jtau),

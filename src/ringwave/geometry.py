@@ -11,12 +11,8 @@ the axis), so the Frenet relation reads dT/dl = +K n.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
-from .errors import _DERIVED, DomainError, _Record, _require_positive
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import _DERIVED, DomainError, _Record, _require_positive, _Vec3
 
 
 class RingGeometry(_Record):
@@ -49,9 +45,9 @@ class RingGeometry(_Record):
 class FrenetFrame(_Record):
     """Right-handed moving frame at a point of the ring."""
 
-    position: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
+    position: _Vec3
+    tangent: _Vec3
+    normal: _Vec3
 
 
 class TorusShape(_Record):
@@ -85,8 +81,11 @@ def ring_from_radius(r_k: float, c: float) -> RingGeometry:
 
 
 def _outward(ring: RingGeometry, l: float) -> tuple[float, float]:
-    """Outward radial unit vector (cos phi, sin phi), phi = l / r_k."""
+    """Outward radial unit vector (cos phi, sin phi), phi = l / r_k; refuses
+    a phi that is not finite (l NaN or infinite, or l / r_k overflowing)."""
     phi = l / ring.r_k
+    if not math.isfinite(phi):
+        raise DomainError(f"arc length {l} has no finite phase on a ring of radius {ring.r_k}")
     return math.cos(phi), math.sin(phi)
 
 
@@ -95,16 +94,11 @@ def frenet_at(ring: RingGeometry, l: float) -> FrenetFrame:
 
     Periodic in l with period equal to the circumference.
     """
-    import numpy as np
-
     cp, sp = _outward(ring, l)
-    position = np.array([ring.r_k * cp, ring.r_k * sp, 0.0])
-    tangent = np.array([-sp, cp, 0.0])
-    normal = np.array([-cp, -sp, 0.0])  # points at the ring axis
-    return FrenetFrame(position=position, tangent=tangent, normal=normal)
+    return FrenetFrame((ring.r_k * cp, ring.r_k * sp, 0.0), (-sp, cp, 0.0), (-cp, -sp, 0.0))
 
 
-def normal_rate(ring: RingGeometry, v: float, l: float) -> np.ndarray:
+def normal_rate(ring: RingGeometry, v: float, l: float) -> _Vec3:
     """Time derivative of the centripetal normal for a point moving at v.
 
     With phase phi advancing at v K, d n / d t = -v K tangent: the
@@ -112,6 +106,4 @@ def normal_rate(ring: RingGeometry, v: float, l: float) -> np.ndarray:
     """
     if not (math.isfinite(v * ring.K) and v >= 0.0):  # also refuses NaN and inf
         raise DomainError(f"speed must be non-negative with v K finite: {v}")
-    frame = frenet_at(ring, l)
-    return -v * ring.K * frame.tangent
-
+    return tuple(-v * ring.K * t for t in frenet_at(ring, l).tangent)

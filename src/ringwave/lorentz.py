@@ -18,15 +18,9 @@ across the direction of travel is not modelled.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .constants import C_LIGHT, HBAR
-from .errors import DomainError, _Record
-
-if TYPE_CHECKING:
-    import numpy as np
-
-_Vec3 = tuple[float, float, float]
+from .errors import DomainError, _Record, _Vec3
 
 
 class WavePacket(_Record):
@@ -67,51 +61,42 @@ def _cross(u: _Vec3, v: _Vec3) -> _Vec3:
     )
 
 
-def _boost_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
-    """Gaussian-unit field transformation on 3-tuples; see boost_plane_fields."""
+def boost_plane_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
+    """Transform E and H into a frame moving at beta (units of c).
+
+    Gaussian-unit law: E' = g(E + beta x H) - (g^2/(g+1))(beta . E) beta
+    and the same with E <-> H, beta -> -beta under the cross product.
+    Refuses |beta| >= 1, a NaN beta, and any E' or H' that is not
+    finite: a NaN or infinite input gives one, and so does an overflow.
+    """
     b2 = _dot(beta, beta)
-    if b2 >= 1.0:
-        raise DomainError("|beta| must be below 1")
+    if not b2 < 1.0:  # also a NaN beta
+        raise DomainError(f"|beta| must be a finite number below 1, got {beta}")
     gamma = 1.0 / math.sqrt(1.0 - b2)
     coef = gamma * gamma / (gamma + 1.0)
     b_x_h = _cross(beta, h)
     b_x_e = _cross(beta, e)
     b_e = coef * _dot(beta, e)
     b_h = coef * _dot(beta, h)
-    e_prime = tuple(gamma * (e[i] + b_x_h[i]) - b_e * beta[i] for i in range(3))
-    h_prime = tuple(gamma * (h[i] - b_x_e[i]) - b_h * beta[i] for i in range(3))
+    e_prime = tuple([gamma * (e[i] + b_x_h[i]) - b_e * beta[i] for i in range(3)])
+    h_prime = tuple([gamma * (h[i] - b_x_e[i]) - b_h * beta[i] for i in range(3)])
+    if not all(map(math.isfinite, e_prime + h_prime)):
+        raise DomainError(f"boosted fields are not finite: E' = {e_prime}, H' = {h_prime}")
     return e_prime, h_prime
-
-
-def boost_plane_fields(
-    e_vec: np.ndarray,
-    h_vec: np.ndarray,
-    beta_vec: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Transform E and H into a frame moving at beta_vec (units of c).
-
-    Gaussian-unit law: E' = g(E + beta x H) - (g^2/(g+1))(beta . E) beta
-    and the same with E <-> H, beta -> -beta under the cross product.
-    """
-    import numpy as np
-
-    e_prime, h_prime = _boost_fields(tuple(e_vec), tuple(h_vec), tuple(beta_vec))
-    return np.array(e_prime), np.array(h_prime)
 
 
 def boost_packet(p: WavePacket, beta: float) -> BoostReport:
     """Boost the packet at beta along x, its direction, and audit the invariants."""
-    if not math.isfinite(beta) or abs(beta) >= 1.0:
-        raise DomainError(f"|beta| must be a finite number below 1, got {beta}")
     if beta == 0.0:
         return BoostReport(beta=beta, primed=p, ratio_deviations=0.0)
 
+    # field-transformation route for the amplitude, which also refuses
+    # |beta| >= 1 and NaN; |H'| = |E'| is tested, not used
+    e_prime, _ = boost_plane_fields((0.0, p.e_o, 0.0), (0.0, 0.0, p.e_o), (beta, 0.0, 0.0))
+    e_o_prime = math.sqrt(_dot(e_prime, e_prime))
+
     doppler = math.sqrt((1.0 - beta) / (1.0 + beta))
     omega_prime = p.omega * doppler
-
-    # field-transformation route for the amplitude; |H'| = |E'| is tested, not used
-    e_prime, _ = _boost_fields((0.0, p.e_o, 0.0), (0.0, 0.0, p.e_o), (beta, 0.0, 0.0))
-    e_o_prime = math.sqrt(_dot(e_prime, e_prime))
 
     # photon count is frame-independent: energy = N hbar omega in every frame
     n_photons = p.energy / (HBAR * p.omega)

@@ -153,10 +153,10 @@ def test_09_dispersion_branches():
 def test_10_frame_rotation_rate_converges_quadratically():
     ring = ring_from_radius(1.0, 100.0)
     v, l = 100.0, 0.3
-    analytic = normal_rate(ring, v, l)
+    analytic = np.array(normal_rate(ring, v, l))
     errors = []
     for h in (1e-4, 1e-5, 1e-6):
-        fd = (frenet_at(ring, l + v * h).normal
+        fd = (np.array(frenet_at(ring, l + v * h).normal)
               - frenet_at(ring, l - v * h).normal) / (2.0 * h)
         errors.append(float(np.max(np.abs(fd - analytic))))
     r1 = errors[0] / errors[1]

@@ -16,16 +16,24 @@ from hypothesis import strategies as st
 
 from ringwave import (
     KIND_PHOTON,
+    KIND_SEMI_PLUS,
     DomainError,
     InvariantConstants,
     QuadratureSpec,
     TorusShape,
     WavePacket,
+    boost_plane_fields,
+    charge_density,
     codata_constants,
     dispersion_omega,
+    displacement_current,
+    energy_density,
+    field_at,
+    frenet_at,
     integrate_line,
     invariant_constants,
     magnetic_moment,
+    mass_density,
     normal_rate,
     pair_threshold_photon,
     ring_from_radius,
@@ -33,6 +41,7 @@ from ringwave import (
     uncertainty_min_length,
     vacuum_polarization,
 )
+from ringwave.fields import amplitude_at
 
 K = codata_constants()
 PHOTON = pair_threshold_photon(K)
@@ -40,6 +49,19 @@ RING = ring_from_radius(PHOTON.r_p, K.c)
 PACKET = WavePacket(e_o=1.0, omega=PHOTON.omega_p, energy=PHOTON.energy,
                     volume=PHOTON.volume)
 ANY_FLOAT = st.floats()
+SEMI = twirled_field(KIND_SEMI_PLUS, 1.0, RING)  # has points off its support
+
+# every public function of arc length l
+ARC_LENGTH_FUNCTIONS = {
+    "amplitude_at": lambda l: amplitude_at(SEMI, l),
+    "charge_density": lambda l: charge_density(SEMI, l),
+    "energy_density": lambda l: energy_density(SEMI, l),
+    "mass_density": lambda l: mass_density(SEMI, l),
+    "frenet_at": lambda l: frenet_at(RING, l),
+    "normal_rate": lambda l: normal_rate(RING, 1.0, l),
+    "field_at": lambda l: field_at(SEMI, l),
+    "displacement_current": lambda l: displacement_current(SEMI, l),
+}
 
 
 def _finite_positive(*values: float) -> bool:
@@ -48,6 +70,16 @@ def _finite_positive(*values: float) -> bool:
 
 def _finite_non_negative(*values: float) -> bool:
     return all(math.isfinite(v) and v >= 0.0 for v in values)
+
+
+def _floats(value) -> list[float]:
+    """Every float in a result: a float, complex, tuple or record of them."""
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    parts = value.asdict().values() if hasattr(value, "asdict") else value
+    return [x for part in parts for x in _floats(part)]
 
 
 @given(ANY_FLOAT, ANY_FLOAT)
@@ -201,6 +233,50 @@ def test_normal_rate_takes_a_non_negative_speed_whose_rate_is_finite(v):
     else:
         with pytest.raises(DomainError):
             normal_rate(RING, v, 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(ARC_LENGTH_FUNCTIONS))
+@given(l=ANY_FLOAT)
+@example(l=math.nan)
+@example(l=math.inf)
+@example(l=-math.inf)
+@example(l=1e300)  # l / r_k overflows, though l wrapped by the circumference does not
+def test_arc_length_functions_refuse_an_arc_length_without_a_finite_phase(name, l):
+    try:
+        result = ARC_LENGTH_FUNCTIONS[name](l)
+    except DomainError:
+        assert not math.isfinite(l / RING.r_k)
+    else:
+        assert math.isfinite(l) and all(map(math.isfinite, _floats(result)))
+
+
+@given(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+@example(math.nan, 0.0, 0.0)  # a NaN beta passed `b2 >= 1.0` and gave NaN fields
+@example(0.6, 0.8, 0.0)  # |beta| = 1
+@example(0.0, 0.0, -math.inf)
+def test_boost_plane_fields_takes_a_beta_below_1_in_norm(bx, by, bz):
+    beta = (bx, by, bz)
+    if bx * bx + by * by + bz * bz < 1.0:
+        e_p, h_p = boost_plane_fields((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), beta)
+        assert all(map(math.isfinite, e_p + h_p))
+    else:
+        with pytest.raises(DomainError):
+            boost_plane_fields((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), beta)
+
+
+@given(st.lists(ANY_FLOAT, min_size=6, max_size=6))
+@example([math.nan, 0.0, 0.0, 0.0, 0.0, 0.0])
+@example([0.0, 0.0, 0.0, 0.0, 0.0, math.inf])
+@example([0.0, 1e308, 0.0, 0.0, 0.0, -1e308])  # finite fields whose boost overflows
+def test_boost_plane_fields_refuses_fields_that_are_or_become_non_finite(components):
+    e, h = tuple(components[:3]), tuple(components[3:])
+    try:
+        e_p, h_p = boost_plane_fields(e, h, (0.6, 0.0, 0.0))
+    except DomainError:
+        # at gamma = 1.25 no finite field up to 1e300 overflows; NaN fails too
+        assert not all(abs(c) <= 1e300 for c in components)
+    else:
+        assert all(map(math.isfinite, e_p + h_p))
 
 
 # no valid CLI input reaches these: semiphoton passes a finite q_s, r_s, omega_s

@@ -79,7 +79,7 @@ def test_normal_rate_magnitude_and_direction():
     ring = ring_from_radius(1.0, K.c)
     rate = normal_rate(ring, K.c, 0.0)
     # swings opposite the tangent with magnitude v K
-    assert np.allclose(rate, -K.c * frenet_at(ring, 0.0).tangent)
+    assert np.allclose(rate, -K.c * np.array(frenet_at(ring, 0.0).tangent))
     assert np.allclose(normal_rate(ring, 0.0, 1.2), [0.0, 0.0, 0.0])
     with pytest.raises(DomainError):
         normal_rate(ring, -1.0, 0.0)
@@ -88,7 +88,8 @@ def test_normal_rate_magnitude_and_direction():
 def test_normal_rate_matches_finite_difference():
     ring = ring_from_radius(1.0, K.c)
     v, l, h = K.c, 0.3, 1e-6 / K.c
-    fd = (frenet_at(ring, l + v * h).normal - frenet_at(ring, l - v * h).normal) / (2.0 * h)
+    fd = (np.array(frenet_at(ring, l + v * h).normal)
+          - frenet_at(ring, l - v * h).normal) / (2.0 * h)
     exact = normal_rate(ring, v, l)
     assert np.linalg.norm(fd - exact) / np.linalg.norm(exact) < 1e-9
 
@@ -96,9 +97,10 @@ def test_normal_rate_matches_finite_difference():
 def test_tangent_derivative_is_curvature_times_normal():
     ring = ring_from_radius(2.0, K.c)
     l, h = 1.1, 1e-6
-    fd = (frenet_at(ring, l + h).tangent - frenet_at(ring, l - h).tangent) / (2.0 * h)
+    fd = (np.array(frenet_at(ring, l + h).tangent)
+          - frenet_at(ring, l - h).tangent) / (2.0 * h)
     f = frenet_at(ring, l)
-    assert np.linalg.norm(fd - ring.K * f.normal) < 1e-9 * ring.K
+    assert np.linalg.norm(fd - ring.K * np.array(f.normal)) < 1e-9 * ring.K
 
 
 def test_torus_metrics_values():

@@ -1,5 +1,5 @@
 """Each subcommand imports only the modules it runs; numpy, dataclasses
-and inspect never.
+and inspect never.  The vector API returns float 3-tuples without numpy.
 
 The probes run in fresh interpreters, because sys.modules only grows.
 """
@@ -54,6 +54,31 @@ print(code, "json" in sys.modules,
       *sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ringwave.")))
 """
 
+# Runs in a `python -S` interpreter, where numpy cannot be imported: calls
+# the vector API and prints, per function, whether every 3-vector it returned
+# is a tuple of three floats, then whether numpy can be found or was loaded.
+VECTOR_PROBE = """
+import importlib.util, json, sys
+from ringwave import (KIND_SEMI_PLUS, boost_plane_fields, displacement_current,
+                      field_at, frenet_at, normal_rate, ring_from_radius,
+                      sample_grid, twirled_field)
+ring = ring_from_radius(1.0, 3.0)
+cfg = twirled_field(KIND_SEMI_PLUS, 1.0, ring)
+frame, sample = frenet_at(ring, 0.3), field_at(cfg, 0.3)
+current = displacement_current(cfg, 0.3)
+vectors = {
+    "frenet_at": [frame.position, frame.tangent, frame.normal],
+    "normal_rate": [normal_rate(ring, 3.0, 0.3)],
+    "field_at": [sample.E, sample.H],
+    "sample_grid": [v for s in sample_grid(cfg, 3) for v in (s.E, s.H)],
+    "displacement_current": [current.j_n, current.j_tau],
+    "boost_plane_fields": list(boost_plane_fields(sample.E, sample.H, (0.5, 0.0, 0.0))),
+}
+vec3 = lambda v: type(v) is tuple and len(v) == 3 and all(type(c) is float for c in v)
+print(json.dumps({name: all(map(vec3, vs)) for name, vs in vectors.items()}))
+print(importlib.util.find_spec("numpy") is not None, "numpy" in sys.modules)
+"""
+
 BASE = ("cli", "constants", "errors")
 MODULES_PER_COMMAND = {
     "constants": BASE,
@@ -66,10 +91,10 @@ MODULES_PER_COMMAND = {
 }
 
 
-def _run(code, *args):
+def _run(code, *args, flags=()):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return proc.stdout
@@ -85,6 +110,14 @@ def test_scalar_commands_never_import_numpy():
     for command, (code, numpy_loaded) in loaded.items():
         assert code == 0, command
         assert numpy_loaded is False, command
+
+
+def test_vector_api_returns_float_tuples_without_numpy():
+    returned, numpy_state = _run(VECTOR_PROBE, flags=["-S"]).splitlines()
+    assert json.loads(returned) == dict.fromkeys(
+        ["frenet_at", "normal_rate", "field_at", "sample_grid",
+         "displacement_current", "boost_plane_fields"], True)
+    assert numpy_state == "False False"  # not importable, and not imported
 
 
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])

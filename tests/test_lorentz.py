@@ -81,9 +81,9 @@ def test_boost_composition():
 
 def test_field_transform_transverse_wave():
     b = 0.6
-    e_vec = np.array([AMP, 0.0, 0.0])
-    h_vec = np.array([0.0, AMP, 0.0])
-    beta_vec = np.array([0.0, 0.0, b])
+    e_vec = (AMP, 0.0, 0.0)
+    h_vec = (0.0, AMP, 0.0)
+    beta_vec = (0.0, 0.0, b)
     e_p, h_p = boost_plane_fields(e_vec, h_vec, beta_vec)
     doppler = math.sqrt((1.0 - b) / (1.0 + b))
     assert abs(np.linalg.norm(e_p) / (doppler * AMP) - 1.0) < 1e-12
@@ -93,9 +93,9 @@ def test_field_transform_transverse_wave():
 
 
 def test_field_transform_longitudinal_component_unchanged():
-    e_vec = np.array([0.0, 0.0, AMP])
-    h_vec = np.array([0.0, 0.0, 0.0])
-    beta_vec = np.array([0.0, 0.0, 0.9])
+    e_vec = (0.0, 0.0, AMP)
+    h_vec = (0.0, 0.0, 0.0)
+    beta_vec = (0.0, 0.0, 0.9)
     e_p, h_p = boost_plane_fields(e_vec, h_vec, beta_vec)
     assert abs(e_p[2] / AMP - 1.0) < 1e-12
     assert float(np.linalg.norm(h_p)) == 0.0
@@ -107,7 +107,7 @@ def test_boost_domain_errors():
     with pytest.raises(DomainError):
         boost_packet(PACKET, -1.5)
     with pytest.raises(DomainError):
-        boost_plane_fields(np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        boost_plane_fields((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
 
 def test_sweep_selects_worst_report(capsys):
@@ -127,11 +127,28 @@ def test_non_finite_beta_is_rejected():
             boost_packet(PACKET, beta)
 
 
-def test_boost_plane_fields_returns_ndarrays():
-    e_p, h_p = boost_plane_fields(np.array([0.0, AMP, 0.0]), np.array([0.0, 0.0, AMP]),
-                                  np.array([0.6, 0.0, 0.0]))
-    assert isinstance(e_p, np.ndarray) and isinstance(h_p, np.ndarray)
-    assert e_p.shape == h_p.shape == (3,)
+def test_boost_plane_fields_returns_float_tuples():
+    e_p, h_p = boost_plane_fields((0.0, AMP, 0.0), (0.0, 0.0, AMP), (0.6, 0.0, 0.0))
+    for vector in (e_p, h_p):
+        assert type(vector) is tuple and len(vector) == 3
+        assert all(type(c) is float for c in vector)
     # the Doppler factor at beta = 0.6 is exactly 1/2
     assert abs(e_p[1] / (0.5 * AMP) - 1.0) < 1e-15
     assert abs(h_p[2] / (0.5 * AMP) - 1.0) < 1e-15
+
+
+def test_boost_packet_calls_the_public_field_law_once_per_moving_frame(monkeypatch):
+    import ringwave.lorentz
+
+    calls = []
+
+    def counted(e, h, beta):
+        calls.append(beta)
+        return boost_plane_fields(e, h, beta)
+
+    monkeypatch.setattr(ringwave.lorentz, "boost_plane_fields", counted)
+    betas = (-0.9, 0.0, 0.3, 0.0, 0.99)
+    reports = [boost_packet(PACKET, b) for b in betas]
+    assert calls == [(b, 0.0, 0.0) for b in betas if b != 0.0]
+    monkeypatch.undo()
+    assert reports == [boost_packet(PACKET, b) for b in betas]
