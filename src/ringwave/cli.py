@@ -18,7 +18,9 @@ Each _cmd_* imports the modules it runs when it runs, and json loads
 only for --format json, so a short command does not pay start-up time
 for the others (tests/test_lazy_import.py pins the modules per command).
 Likewise the parser is built for the chosen subcommand only: the others
-are registered with their help, but no parser is built for them.
+are registered with their help, but no parser is built for them.  Each
+option's default lives in that parser, which reads the field kinds and
+quadrature rules from their own modules; run takes its argparse.Namespace.
 """
 
 from __future__ import annotations
@@ -30,45 +32,16 @@ import sys
 from typing import TYPE_CHECKING, Callable
 
 from .constants import PhysicalConstants, codata_constants, electron_scales
-from .errors import EvaluationError, RingwaveError, _Record
+from .errors import EvaluationError, RingwaveError
 
 if TYPE_CHECKING:
     from .lorentz import WavePacket
-    from .quadrature import QuadratureSpec
 
 INVARIANT_THRESHOLD = 1e-9
 DEFAULT_BETA_GRID = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
 
-# the CLI spelling of fields.TWIRLED_KINDS, in the same order
-_KIND_NAMES = ("photon", "semiplus", "semiminus")
-
 # a `fields` CSV row; z, Ez, Hx, Hy are always 0, and + 0.0 folds -0.0 to 0
 _CSV_ROW = "%.17g,%.17g,%.17g,0,%.17g,%.17g,0,0,0,%.17g,%.17g,%.17g"
-
-
-class RunConfig(_Record):
-    """Validated invocation parameters.
-
-    quadrature is None for every command but `consistency`, whose default
-    is QuadratureSpec(); so only `consistency` imports the quadrature module.
-    """
-
-    command: str
-    zeta: float = 1.0
-    format: str = "table"
-    out: str | None = None
-    quadrature: QuadratureSpec | None = None
-    thomas: bool = False
-    kind: str = "photon"
-    samples: int = 256
-    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
-    amplitude: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.command == "consistency" and self.quadrature is None:
-            from .quadrature import QuadratureSpec
-
-            object.__setattr__(self, "quadrature", QuadratureSpec())
 
 
 def _g6(v: float) -> str:
@@ -128,17 +101,6 @@ def _beta_grid_arg(text: str) -> tuple[float, ...]:
     return betas
 
 
-_SUBCOMMANDS = {
-    "constants": "universal constants table",
-    "photon": "pair-threshold photon record",
-    "semiphoton": "semi-photon record and renormalization",
-    "invariants": "Lorentz-boost invariance sweep",
-    "fields": "sample E, H, and currents to CSV",
-    "consistency": "integrated charge/mass vs stated closed forms",
-    "dispersion": "dispersion relation and uncertainty bound",
-}
-
-
 def _subparser(chosen: str | None, **kwargs) -> argparse.ArgumentParser | None:
     """The chosen subcommand's parser, its options in help order; else None,
     as only the chosen subcommand parses: the others are never built."""
@@ -146,31 +108,36 @@ def _subparser(chosen: str | None, **kwargs) -> argparse.ArgumentParser | None:
         return None
     p = argparse.ArgumentParser(**kwargs)
     if chosen in ("semiphoton", "consistency"):
-        p.add_argument("--zeta", type=_ranged(float, 0.0, 1.0, "(]"),
-                       help=f"torus thinness ratio in (0, 1], default {RunConfig.zeta:g}")
+        p.add_argument("--zeta", type=_ranged(float, 0.0, 1.0, "(]"), default=1.0,
+                       help="torus thinness ratio in (0, 1], default %(default)g")
     if chosen == "semiphoton":
         p.add_argument("--thomas", action="store_true",
                        help="apply the Thomas-precession factor 2 to mu_s")
     elif chosen == "invariants":
-        p.add_argument("--beta-grid", type=_beta_grid_arg, metavar="B1,B2,...",
+        p.add_argument("--beta-grid", type=_beta_grid_arg, default=DEFAULT_BETA_GRID,
+                       metavar="B1,B2,...",
                        help="comma-separated boost speeds, each |beta| < 1")
     elif chosen == "fields":
-        p.add_argument("--kind", choices=sorted(_KIND_NAMES))
-        p.add_argument("--samples", type=_ranged(int, 2, math.inf, "[)"))
+        from .fields import KIND_PHOTON, TWIRLED_KINDS
+
+        p.add_argument("--kind", choices=sorted(TWIRLED_KINDS), default=KIND_PHOTON)
+        p.add_argument("--samples", type=_ranged(int, 2, math.inf, "[)"), default=256)
         p.add_argument("--amplitude", type=_ranged(float, 0.0, math.inf, "()"),
                        help="field amplitude in statV/cm; default is the"
                             " zeta=1 semi-photon amplitude")
         p.add_argument("--out", help="write CSV to this path instead of stdout")
         return p
     elif chosen == "consistency":
-        p.add_argument("--panels", type=_ranged(int, 1, math.inf, "[)"))
-        # quadrature.RULE_GAUSS5 and RULE_MIDPOINT, spelled out so that parsing
-        # does not import the quadrature module
-        p.add_argument("--rule", choices=("gauss_legendre_5", "midpoint"))
+        from .quadrature import RULE_GAUSS5, RULE_MIDPOINT, QuadratureSpec
+
+        p.add_argument("--panels", type=_ranged(int, 1, math.inf, "[)"),
+                       default=QuadratureSpec.panels)
+        p.add_argument("--rule", choices=(RULE_GAUSS5, RULE_MIDPOINT),
+                       default=QuadratureSpec.rule)
         p.add_argument("--toroidal-jacobian", action="store_true",
                        dest="include_toroidal_jacobian",
                        help="integrate the exact torus volume element")
-    p.add_argument("--format", choices=("table", "json"))
+    p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--out", help="write output to this path instead of stdout")
     return p
 
@@ -187,40 +154,34 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
         description="Ring-wave model of the photon and the electron-positron pair",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_subparser)
-    for name, help in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS,
-                       chosen=name if name == command else None)
+    for name, (help, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help, chosen=name if name == command else None)
     return parser
 
 
-def parse_args(argv: list[str] | None = None) -> RunConfig:
-    """Parse and validate the command line into a RunConfig.
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse and validate the command line; every option left out takes
+    its default from the parser.
 
     The subcommand is the first argument that is not an option; the top
-    level takes no option but -h.  An option left out takes its default
-    from RunConfig or QuadratureSpec.
+    level takes no option but -h.
     """
     argv = sys.argv[1:] if argv is None else argv
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    ns = vars(_parser(command if command in _SUBCOMMANDS else None).parse_args(argv))
-    if ns["command"] == "consistency":
-        from .quadrature import QuadratureSpec
-
-        ns["quadrature"] = QuadratureSpec(**{
-            name: ns.pop(name) for name in QuadratureSpec.init_fields if name in ns})
-    return RunConfig(**ns)
+    return _parser(command if command in _COMMANDS else None).parse_args(argv)
 
 
-def _named_values(config: RunConfig, data: list[tuple[str, float, str]]) -> tuple[str, int]:
+def _named_values(args: argparse.Namespace,
+                  data: list[tuple[str, float, str]]) -> tuple[str, int]:
     """A JSON object of name: value, or a table of (name, value, unit) rows."""
-    if config.format == "json":
+    if args.format == "json":
         return _json_text({name: value for name, value, _ in data}), 0
     return _table([(name, _g6(value), unit) for name, value, unit in data]), 0
 
 
-def _cmd_constants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+def _cmd_constants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
     scales = electron_scales(k)
-    return _named_values(config, [
+    return _named_values(args, [
         ("c", k.c, "cm/s"),
         ("hbar", k.hbar, "erg*s"),
         ("h", k.h, "erg*s"),
@@ -251,31 +212,31 @@ _RENORM_UNITS = {
 }
 
 
-def _cmd_photon(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+def _cmd_photon(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
     from .model import pair_threshold_photon
 
     record = pair_threshold_photon(k).asdict()
-    return _named_values(config, [(name, value, _PHOTON_UNITS[name])
+    return _named_values(args, [(name, value, _PHOTON_UNITS[name])
                                   for name, value in record.items()])
 
 
-def _cmd_semiphoton(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+def _cmd_semiphoton(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
     from .model import magnetic_moment, semi_photon_model
     from .renorm import vacuum_polarization
 
-    model = semi_photon_model(config.zeta, k)
+    model = semi_photon_model(args.zeta, k)
     record = model.asdict()
     record["mu_s"] = magnetic_moment(
-        model.q_s, model.r_s, model.omega_s, k.c, thomas=config.thomas
+        model.q_s, model.r_s, model.omega_s, k.c, thomas=args.thomas
     )
     vp = None
     if model.alpha_s > k.alpha_exp:
         vp = vacuum_polarization(model.alpha_s, k)
 
-    if config.format == "json":
+    if args.format == "json":
         return _json_text({
             "model": record,
-            "thomas": config.thomas,
+            "thomas": args.thomas,
             "renormalization": vp.asdict() if vp is not None else None,
         }), 0
 
@@ -283,7 +244,7 @@ def _cmd_semiphoton(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     for name, value in record.items():
         text = value if isinstance(value, str) else _g6(value)
         rows.append((name, text, _SEMI_UNITS[name]))
-    rows.append(("thomas", "on" if config.thomas else "off", ""))
+    rows.append(("thomas", "on" if args.thomas else "off", ""))
     if vp is not None:
         rows.append(("[renormalization]", "", ""))
         for name, value in vp.asdict().items():
@@ -304,14 +265,14 @@ def _threshold_packet(k: PhysicalConstants) -> WavePacket:
     return WavePacket(amp, photon.omega_p, photon.energy, photon.volume)
 
 
-def _cmd_invariants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+def _cmd_invariants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
     from .lorentz import boost_packet
     from .model import invariant_constants
 
     packet = _threshold_packet(k)
     frames = []
     deviations = []
-    for beta in config.beta_grid:
+    for beta in args.beta_grid:
         report = boost_packet(packet, beta)
         prim = report.primed
         ic = invariant_constants(prim.e_o, prim.omega, prim.energy, prim.volume)
@@ -330,7 +291,7 @@ def _cmd_invariants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     max_dev = math.nan if any(map(math.isnan, deviations)) else max(deviations)
     ok = max_dev <= INVARIANT_THRESHOLD
 
-    if config.format == "json":
+    if args.format == "json":
         return _json_text({
             "frames": frames,
             "max_deviation": None if math.isnan(max_dev) else max_dev,
@@ -348,32 +309,33 @@ def _cmd_invariants(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0 if ok else 1
 
 
-def _cmd_fields(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
-    from .fields import TWIRLED_KINDS, _grid, _point, twirled_field
+def _cmd_fields(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
+    from .fields import _grid, _point, twirled_field
     from .geometry import ring_from_radius
     from .model import pair_threshold_photon, semi_photon_model
 
     photon = pair_threshold_photon(k)
     ring = ring_from_radius(photon.r_p, k.c)
-    amp = config.amplitude
+    amp = args.amplitude
     if amp is None:
         amp = semi_photon_model(1.0, k).e_o
-    cfg = twirled_field(TWIRLED_KINDS[_KIND_NAMES.index(config.kind)], amp, ring)
+    cfg = twirled_field(args.kind, amp, ring)
     lines = ["l,x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jn,jtau"]
-    for l in _grid(cfg, config.samples):
+    for l in _grid(cfg, args.samples):
         x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
         lines.append(_CSV_ROW % (l + 0.0, x + 0.0, y + 0.0, ex + 0.0, ey + 0.0,
                                  hz + 0.0, jn + 0.0, jtau + 0.0))
     return "\n".join(lines) + "\n", 0
 
 
-def _cmd_consistency(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+def _cmd_consistency(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
     from .fields import KIND_PHOTON, KIND_SEMI_PLUS, twirled_field
     from .geometry import ring_from_radius
     from .model import semi_photon_model
-    from .quadrature import total_charge, total_mass
+    from .quadrature import QuadratureSpec, total_charge, total_mass
 
-    zeta, spec = config.zeta, config.quadrature
+    zeta = args.zeta
+    spec = QuadratureSpec(args.panels, args.rule, args.include_toroidal_jacobian)
     model = semi_photon_model(zeta, k)
     ring = ring_from_radius(model.r_s, k.c)
     photon_cfg = twirled_field(KIND_PHOTON, model.e_o, ring)
@@ -384,7 +346,7 @@ def _cmd_consistency(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]
         "semi_photon_mass": total_mass(semi_cfg, zeta, spec),
     }
 
-    if config.format == "json":
+    if args.format == "json":
         return _json_text({name: r.asdict() for name, r in reports.items()}), 0
 
     header = (f"{'quantity':<20}  {'integrated':>13}  {'closed form':>13}  "
@@ -398,13 +360,13 @@ def _cmd_consistency(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]
     return "\n".join(lines) + "\n", 0
 
 
-def _cmd_dispersion(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
+def _cmd_dispersion(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
     from .model import dispersion_omega, pair_threshold_photon, uncertainty_min_length
 
     photon = pair_threshold_photon(k)
     k_ref = 1.0 / photon.r_p
     lam_planck, lam_alpha = uncertainty_min_length(photon.energy, k)
-    return _named_values(config, [
+    return _named_values(args, [
         ("omega_at_k0_m_e", dispersion_omega(0.0, k.m_e, k), "rad/s"),
         ("m_e_c2_over_hbar", k.m_e * k.c * k.c / k.hbar, "rad/s"),
         ("omega_massless_at_k_ref", dispersion_omega(k_ref, 0.0, k), "rad/s"),
@@ -416,31 +378,32 @@ def _cmd_dispersion(config: RunConfig, k: PhysicalConstants) -> tuple[str, int]:
     ])
 
 
+# name: (help, handler), in the order the top-level help lists them
 _COMMANDS = {
-    "constants": _cmd_constants,
-    "photon": _cmd_photon,
-    "semiphoton": _cmd_semiphoton,
-    "invariants": _cmd_invariants,
-    "fields": _cmd_fields,
-    "consistency": _cmd_consistency,
-    "dispersion": _cmd_dispersion,
+    "constants": ("universal constants table", _cmd_constants),
+    "photon": ("pair-threshold photon record", _cmd_photon),
+    "semiphoton": ("semi-photon record and renormalization", _cmd_semiphoton),
+    "invariants": ("Lorentz-boost invariance sweep", _cmd_invariants),
+    "fields": ("sample E, H, and currents to CSV", _cmd_fields),
+    "consistency": ("integrated charge/mass vs stated closed forms", _cmd_consistency),
+    "dispersion": ("dispersion relation and uncertainty bound", _cmd_dispersion),
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute parsed arguments; returns the process exit code."""
     k = codata_constants()
     try:
-        text, code = _COMMANDS[config.command](config, k)
+        text, code = _COMMANDS[args.command][1](args, k)
     except RingwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.out is not None:
+    if args.out is not None:
         try:
-            with open(config.out, "w", newline="\n") as fh:
+            with open(args.out, "w", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 3
     else:
         sys.stdout.write(text)

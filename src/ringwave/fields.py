@@ -25,17 +25,19 @@ import math
 from .errors import _DERIVED, DomainError, _Record, _require_positive, _Vec3
 from .geometry import RingGeometry, _outward, frenet_at
 
-KIND_PHOTON = "twirled_photon"
-KIND_SEMI_PLUS = "semi_photon_plus"
-KIND_SEMI_MINUS = "semi_photon_minus"
+# the kinds are also the CLI's `fields --kind` values
+KIND_PHOTON = "photon"
+KIND_SEMI_PLUS = "semiplus"
+KIND_SEMI_MINUS = "semiminus"
 
 TWIRLED_KINDS = (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS)
+_E_O_SQUARE_MAX = 1.3407807929942596e154  # the largest E_o whose square is finite
 
 
 class FieldConfiguration(_Record):
     """Immutable description of one wave configuration.
 
-    kind : one of twirled_photon / semi_photon_plus / semi_photon_minus
+    kind : one of photon / semiplus / semiminus
     e_o : field amplitude (statV/cm), positive
     geometry : the ring the wave is wound on; its circumference is the
         wavelength, so its K and omega_K are the wave number and frequency
@@ -209,7 +211,10 @@ def charge_density(cfg: FieldConfiguration, l: float) -> float:
 
 
 def energy_density(cfg: FieldConfiguration, l: float) -> float:
-    """Energy density (E^2 + H^2)/8pi = a(l)^2/4pi, as |E| = |H| = |a(l)|."""
+    """Energy density (E^2 + H^2)/8pi = a(l)^2/4pi, as |E| = |H| = |a(l)|;
+    refuses an amplitude E_o that FieldConfiguration takes but whose square overflows."""
+    if cfg.e_o > _E_O_SQUARE_MAX:
+        raise DomainError(f"energy density overflows at amplitude {cfg.e_o:g}")
     a = amplitude_at(cfg, l)
     return a * a / (4.0 * math.pi)
 

@@ -9,11 +9,26 @@ import pytest
 
 import ringwave
 from ringwave import QuadratureSpec, codata_constants, pair_threshold_photon
-from ringwave.cli import RunConfig, main, parse_args, run
+from ringwave.cli import main, parse_args, run
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ringwave.__file__)))
 K = codata_constants()
 PHOTON = pair_threshold_photon(K)
+
+
+# every option of each command at its default, as parse_args returns it
+_OUTPUT = {"format": "table", "out": None}
+DEFAULTS = {
+    "constants": _OUTPUT,
+    "photon": _OUTPUT,
+    "semiphoton": {"zeta": 1.0, "thomas": False, **_OUTPUT},
+    "invariants": {"beta_grid": (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99),
+                   **_OUTPUT},
+    "fields": {"kind": "photon", "samples": 256, "amplitude": None, "out": None},
+    "consistency": {"zeta": 1.0, "panels": 64, "rule": "gauss_legendre_5",
+                    "include_toroidal_jacobian": False, **_OUTPUT},
+    "dispersion": _OUTPUT,
+}
 
 
 def run_cli(capsys, argv):
@@ -310,9 +325,10 @@ def test_consistency_rule_and_jacobian_flags(capsys):
 
 
 def test_consistency_takes_zeta(capsys):
-    config = parse_args(["consistency"]).replace(zeta=0.5)
-    assert parse_args(["consistency", "--zeta", "0.5"]) == config
-    assert run(config) == 0
+    args = parse_args(["consistency"])
+    args.zeta = 0.5
+    assert parse_args(["consistency", "--zeta", "0.5"]) == args
+    assert run(args) == 0
     expected = capsys.readouterr().out
     assert run_cli(capsys, ["consistency", "--zeta", "0.5"]) == (0, expected, "")
     assert expected != run_cli(capsys, ["consistency"])[1]
@@ -335,18 +351,18 @@ def test_dispersion_output(capsys):
 
 
 def test_parse_args_defaults():
-    config = parse_args(["semiphoton"])
-    assert config.command == "semiphoton"
-    assert config.zeta == 1.0
-    assert config.format == "table"
-    assert config.thomas is False
-    config = parse_args(["consistency", "--panels", "128"])
-    assert config.quadrature.panels == 128
-    # every option left out takes the record default
-    for command in ("constants", "photon", "semiphoton", "invariants",
-                    "fields", "consistency", "dispersion"):
-        assert parse_args([command]) == RunConfig(command=command)
-    assert parse_args(["consistency"]).quadrature == QuadratureSpec()
+    args = parse_args(["semiphoton"])
+    assert args.command == "semiphoton"
+    assert args.zeta == 1.0
+    assert args.format == "table"
+    assert args.thomas is False
+    assert parse_args(["consistency", "--panels", "128"]).panels == 128
+    # every option left out takes the parser's default
+    for command in DEFAULTS:
+        assert vars(parse_args([command])) == {"command": command, **DEFAULTS[command]}
+    # the consistency defaults are the quadrature module's own
+    parsed = vars(parse_args(["consistency"]))
+    assert QuadratureSpec(**{n: parsed[n] for n in QuadratureSpec.init_fields}) == QuadratureSpec()
 
 
 def test_reused_parser_keeps_no_state(capsys):
@@ -360,7 +376,7 @@ def test_reused_parser_keeps_no_state(capsys):
             parse_args(bad)
     capsys.readouterr()
     for command in ("fields", "consistency", "semiphoton"):
-        assert parse_args([command]) == RunConfig(command=command)
+        assert vars(parse_args([command])) == {"command": command, **DEFAULTS[command]}
 
 
 @pytest.mark.parametrize("argv", [
@@ -399,7 +415,7 @@ def test_only_the_first_argument_that_is_not_an_option_picks_the_parser(capsys, 
 def test_range_edges_are_accepted():
     assert parse_args(["semiphoton", "--zeta", "1"]).zeta == 1.0
     assert parse_args(["fields", "--samples", "2"]).samples == 2
-    assert parse_args(["consistency", "--panels", "1"]).quadrature.panels == 1
+    assert parse_args(["consistency", "--panels", "1"]).panels == 1
     assert parse_args(["fields", "--amplitude", "1e-300"]).amplitude == 1e-300
     assert parse_args(["invariants", "--beta-grid=-0.999,0"]).beta_grid == (-0.999, 0.0)
 
@@ -453,6 +469,16 @@ def test_fields_amplitude_overflow_exits_1(capsys):
         assert code == 1, amp
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_fields_csv_at_an_amplitude_whose_energy_density_overflows(capsys):
+    # the CSV needs no energy density, so E_o = 1e200 still writes every row
+    code, out, err = run_cli(capsys, ["fields", "--amplitude", "1e200", "--samples", "4"])
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4
+    assert float(rows[0].split(",")[4]) == 1e200  # Ex = E_o at the crest
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 def test_json_refuses_non_finite_values(capsys, monkeypatch):

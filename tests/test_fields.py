@@ -66,6 +66,25 @@ def test_amplitude_whose_current_overflows_is_refused():
         assert np.all(np.isfinite(current.j_n)) and np.all(np.isfinite(current.j_tau))
 
 
+def test_energy_density_refuses_an_amplitude_whose_square_overflows():
+    # accepted by FieldConfiguration (E_o omega is finite), but a^2 is not
+    cfg = twirled_field(KIND_SEMI_PLUS, 1e200, RING)
+    for density in (energy_density, mass_density):
+        for l in (0.0, 0.25 * LAM, 0.75 * LAM):  # crest, node, off the support
+            with pytest.raises(DomainError, match="energy density overflows"):
+                density(cfg, l)
+    # the largest amplitude whose square is finite is kept
+    edge = math.sqrt(1.7976931348623157e308)
+    assert math.isinf(math.nextafter(edge, math.inf) * math.nextafter(edge, math.inf))
+    assert math.isfinite(energy_density(twirled_field(KIND_SEMI_PLUS, edge, RING), 0.0))
+    with pytest.raises(DomainError):
+        energy_density(twirled_field(KIND_SEMI_PLUS, math.nextafter(edge, math.inf), RING), 0.0)
+
+
+def test_kinds_are_the_cli_kind_values():
+    assert (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS) == ("photon", "semiplus", "semiminus")
+
+
 def test_field_magnitude_at_crest_and_node():
     cfg = _cfg(KIND_PHOTON)
     crest = field_at(cfg, 0.0)

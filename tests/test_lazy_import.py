@@ -79,6 +79,20 @@ print(json.dumps({name: all(map(vec3, vs)) for name, vs in vectors.items()}))
 print(importlib.util.find_spec("numpy") is not None, "numpy" in sys.modules)
 """
 
+# Runs one invocation that argparse ends (help or a usage error), then
+# prints the exit code and the ringwave submodules loaded.
+EXIT_PROBE = """
+import contextlib, io, sys
+import ringwave.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+    try:
+        ringwave.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("ringwave.")))
+"""
+
 BASE = ("cli", "constants", "errors")
 MODULES_PER_COMMAND = {
     "constants": BASE,
@@ -139,6 +153,16 @@ def test_each_command_loads_only_its_modules(command):
     assert json_loaded == "False"
 
 
+@pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"]],
+                         ids=["help", "no-command", "unknown-command"])
+def test_top_level_help_and_usage_errors_build_no_subcommand_parser(argv):
+    # the fields and consistency parsers import their modules, but only
+    # the chosen subcommand's parser is built
+    code, *modules = _run(EXIT_PROBE, *argv).split()
+    assert code == ("0" if argv == ["--help"] else "2")
+    assert tuple(modules) == BASE
+
+
 def test_json_is_loaded_for_json_output_only():
     code, json_loaded, *modules = _run(MODULES_PROBE, "constants",
                                        "--format", "json").split()
@@ -181,9 +205,9 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_cli_rule_choices_are_the_quadrature_rules():
-    # the parser spells the rule names out so that it need not import them
+    # the consistency parser offers the quadrature module's own rule names
     from ringwave import RULE_GAUSS5, RULE_MIDPOINT
     from ringwave.cli import parse_args
 
     for rule in (RULE_GAUSS5, RULE_MIDPOINT):
-        assert parse_args(["consistency", "--rule", rule]).quadrature.rule == rule
+        assert parse_args(["consistency", "--rule", rule]).rule == rule

@@ -221,6 +221,14 @@ def test_mass_defined_for_semi_kinds_only():
         total_mass(twirled_field(KIND_PHOTON, model.e_o, ring), 1.0, SPEC)
 
 
+def test_mass_refuses_an_amplitude_whose_energy_density_overflows():
+    # E_o = 1e200 makes a valid configuration, but E_o^2 overflows: the
+    # integrand refuses it as out of domain, rather than returning inf
+    _, ring, _ = _electron_setup()
+    with pytest.raises(DomainError, match="energy density overflows"):
+        total_mass(twirled_field(KIND_SEMI_PLUS, 1e200, ring), 1.0, SPEC)
+
+
 def test_toroidal_volume_element_changes_nothing_measurable():
     # the cos(theta) part of the exact volume element integrates to
     # zero over the section, so the factorized measure is already exact

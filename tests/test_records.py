@@ -39,7 +39,6 @@ from ringwave import (
     twirled_field,
     vacuum_polarization,
 )
-from ringwave.cli import RunConfig
 from ringwave.errors import _Record
 
 K = codata_constants()
@@ -88,9 +87,6 @@ RECORDS = {
     VacuumPolarization: (vacuum_polarization(2.0 / math.pi, K),
                          ("eps_v", "alpha_bare", "alpha_exp", "q_bare", "q_exp",
                           "r_bare", "r_0"), {"r_0": 1.0}, None),
-    RunConfig: (RunConfig("photon"),
-                ("command", "zeta", "format", "out", "quadrature", "thomas", "kind",
-                 "samples", "beta_grid", "amplitude"), {"zeta": 0.5}, None),
 }
 DERIVED = {
     RingGeometry: ("K", "omega_K", "circumference"),
@@ -171,12 +167,11 @@ def test_constructor_fields_and_asdict_of_nested_records():
 
 
 def test_defaults_are_class_attributes():
-    # --zeta help reads RunConfig.zeta
-    assert RunConfig.zeta == 1.0
+    # the consistency parser's --panels and --rule defaults read these
     assert (QuadratureSpec.panels, QuadratureSpec.rule) == (64, "gauss_legendre_5")
-    assert RunConfig("constants").samples == RunConfig.samples == 256
+    assert QuadratureSpec(8).rule == QuadratureSpec.rule
     # a derived field has no class attribute: it exists on instances only
     assert not hasattr(RingGeometry, "K")
     assert RING.K == 0.5
     with pytest.raises(TypeError):
-        RunConfig()  # the command has no default
+        TorusShape(2.0)  # r_c has no default
