@@ -26,10 +26,9 @@ _EXPORTS = {
     "geometry": ("FrenetFrame", "RingGeometry", "TorusShape", "frenet_at",
                  "normal_rate", "ring_from_radius"),
     "lorentz": ("BoostReport", "WavePacket", "boost_packet", "boost_plane_fields"),
-    "model": ("InvariantConstants", "PhotonModel", "SemiPhotonModel",
-              "dispersion_omega", "invariant_constants", "magnetic_moment",
-              "pair_threshold_photon", "semi_photon_model", "split_photon",
-              "uncertainty_min_length"),
+    "model": ("PhotonModel", "SemiPhotonModel", "dispersion_omega",
+              "invariant_constants", "magnetic_moment", "pair_threshold_photon",
+              "semi_photon_model", "uncertainty_min_length"),
     "quadrature": ("RULE_GAUSS5", "RULE_MIDPOINT", "IntegralReport",
                    "QuadratureSpec", "integrate_line", "section_measure",
                    "total_charge", "total_mass"),

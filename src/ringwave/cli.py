@@ -29,13 +29,10 @@ import argparse
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .constants import PhysicalConstants, codata_constants, electron_scales
 from .errors import EvaluationError, RingwaveError
-
-if TYPE_CHECKING:
-    from .lorentz import WavePacket
 
 INVARIANT_THRESHOLD = 1e-9
 DEFAULT_BETA_GRID = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
@@ -256,35 +253,28 @@ def _cmd_semiphoton(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str
     return _table(rows), 0
 
 
-def _threshold_packet(k: PhysicalConstants) -> WavePacket:
-    from .lorentz import WavePacket
+def _cmd_invariants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
+    from .lorentz import WavePacket, boost_packet
     from .model import pair_threshold_photon, semi_photon_model
 
     photon = pair_threshold_photon(k)
     amp = semi_photon_model(1.0, k).e_o
-    return WavePacket(amp, photon.omega_p, photon.energy, photon.volume)
-
-
-def _cmd_invariants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
-    from .lorentz import boost_packet
-    from .model import invariant_constants
-
-    packet = _threshold_packet(k)
+    packet = WavePacket(amp, photon.omega_p, photon.energy, photon.volume)
     frames = []
     deviations = []
     for beta in args.beta_grid:
         report = boost_packet(packet, beta)
         prim = report.primed
-        ic = invariant_constants(prim.e_o, prim.omega, prim.energy, prim.volume)
+        c1, c2, c3 = report.invariants
         frames.append({
             "beta": beta,
             "omega": prim.omega,
             "e_o": prim.e_o,
             "energy": prim.energy,
             "volume": prim.volume,
-            "c1": ic.c1,
-            "c2": ic.c2,
-            "c3": ic.c3,
+            "c1": c1,
+            "c2": c2,
+            "c3": c3,
         })
         deviations.append(report.ratio_deviations)
     # max() can drop a NaN; keep it, so that the gate below fails on it
@@ -299,11 +289,9 @@ def _cmd_invariants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str
             "pass": ok,
         }), 0 if ok else 1
 
-    names = ("beta", "omega", "e_o", "energy", "volume", "c1", "c2", "c3")
-    header = "  ".join(f"{name:>13}" for name in names)
-    lines = [header]
+    lines = ["  ".join(f"{name:>13}" for name in frames[0])]
     for frame in frames:
-        lines.append("  ".join(f"{_g6(frame[name]):>13}" for name in names))
+        lines.append("  ".join(f"{_g6(value):>13}" for value in frame.values()))
     lines.append(f"max deviation: {_g6(max_dev)} (threshold {INVARIANT_THRESHOLD:g})")
     lines.append("PASS" if ok else "FAIL")
     return "\n".join(lines) + "\n", 0 if ok else 1

@@ -21,6 +21,7 @@ import math
 
 from .constants import C_LIGHT, HBAR
 from .errors import DomainError, _Record, _Vec3
+from .model import invariant_constants
 
 
 class WavePacket(_Record):
@@ -42,10 +43,11 @@ class WavePacket(_Record):
 
 
 class BoostReport(_Record):
-    """One boost: the primed packet and the worst invariant-ratio drift."""
+    """One boost: the primed packet, its invariant ratios (c1, c2, c3) and
+    their worst drift from the unprimed packet's."""
 
-    beta: float
     primed: WavePacket
+    invariants: tuple[float, float, float]
     ratio_deviations: float
 
 
@@ -87,13 +89,14 @@ def boost_plane_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
 
 def boost_packet(p: WavePacket, beta: float) -> BoostReport:
     """Boost the packet at beta along x, its direction, and audit the invariants."""
+    before = invariant_constants(p.e_o, p.omega, p.energy, p.volume)
     if beta == 0.0:
-        return BoostReport(beta=beta, primed=p, ratio_deviations=0.0)
+        return BoostReport(p, before, 0.0)
 
     # field-transformation route for the amplitude, which also refuses
     # |beta| >= 1 and NaN; |H'| = |E'| is tested, not used
     e_prime, _ = boost_plane_fields((0.0, p.e_o, 0.0), (0.0, 0.0, p.e_o), (beta, 0.0, 0.0))
-    e_o_prime = math.sqrt(_dot(e_prime, e_prime))
+    e_o_prime = math.hypot(*e_prime)  # E'.E' would over- or underflow first
 
     doppler = math.sqrt((1.0 - beta) / (1.0 + beta))
     omega_prime = p.omega * doppler
@@ -108,10 +111,7 @@ def boost_packet(p: WavePacket, beta: float) -> BoostReport:
     volume_prime = (p.volume / lam) * lam_prime
 
     primed = WavePacket(e_o_prime, omega_prime, energy_prime, volume_prime)
-    deviations = (
-        abs((primed.e_o / primed.omega) / (p.e_o / p.omega) - 1.0),
-        abs((primed.energy / primed.omega) / (p.energy / p.omega) - 1.0),
-        abs((primed.volume * primed.omega) / (p.volume * p.omega) - 1.0),
-    )
-    return BoostReport(beta=beta, primed=primed, ratio_deviations=max(deviations))
+    after = invariant_constants(e_o_prime, omega_prime, energy_prime, volume_prime)
+    drift = max([abs(a / b - 1.0) for a, b in zip(after, before)])
+    return BoostReport(primed, after, drift)
 

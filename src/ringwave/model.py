@@ -43,18 +43,6 @@ class PhotonModel(_Record):
     nu: float
 
 
-class InvariantConstants(_Record):
-    """Boost-invariant combinations of a wave packet.
-
-    c1 = E_o/omega, c2 = energy/omega, c3 = volume*omega.  For a
-    physical photon c2 is hbar.
-    """
-
-    c1: float
-    c2: float
-    c3: float
-
-
 class SemiPhotonModel(_Record):
     """Half of the pair-threshold photon: the electron/positron record.
 
@@ -95,15 +83,18 @@ def pair_threshold_photon(k: PhysicalConstants) -> PhotonModel:
 
 def invariant_constants(
     e_o: float, omega: float, energy: float, volume: float
-) -> InvariantConstants:
-    """The three frame-invariant packet ratios, each finite."""
+) -> tuple[float, float, float]:
+    """The three frame-invariant packet ratios (c1, c2, c3), each finite:
+    E_o/omega, energy/omega and volume*omega.  For a physical photon c2
+    is hbar.
+    """
     if not (math.isfinite(omega) and omega > 0.0):
         raise DomainError(f"frequency must be finite and positive: {omega}")
     ratios = (e_o / omega, energy / omega, volume * omega)
     if not all(map(math.isfinite, ratios)):  # a non-finite input, or an overflow
         raise DomainError(f"packet ratios of {e_o}, {omega}, {energy}, {volume}"
                           f" are not finite: {ratios}")
-    return InvariantConstants(*ratios)
+    return ratios
 
 
 def uncertainty_min_length(energy: float, k: PhysicalConstants) -> tuple[float, float]:
@@ -200,21 +191,3 @@ def semi_photon_model(
         mu_s=magnetic_moment(q_s, r_s, omega_s, k.c), sign=sign,
     )
 
-
-def split_photon(
-    p: PhotonModel, k: PhysicalConstants
-) -> tuple[SemiPhotonModel, SemiPhotonModel]:
-    """Divide a pair-threshold photon into its two semi-photons.
-
-    Defined only at the production threshold; radius, frequency, and
-    volume carry over unchanged (zeta = 1), charges come out opposite.
-    """
-    threshold = pair_threshold_photon(k).energy
-    if abs(p.energy / threshold - 1.0) > 1e-9:
-        raise DomainError(
-            f"photon energy {p.energy} erg is not the pair threshold {threshold} erg"
-        )
-    return (
-        semi_photon_model(1.0, k, sign=SIGN_PLUS),
-        semi_photon_model(1.0, k, sign=SIGN_MINUS),
-    )

@@ -22,7 +22,6 @@ from ringwave import (
     pair_threshold_photon,
     ring_from_radius,
     semi_photon_model,
-    split_photon,
     total_charge,
     total_mass,
     twirled_field,
@@ -32,6 +31,7 @@ from ringwave import (
 from ringwave.cli import main
 from ringwave.fields import KIND_PHOTON, KIND_SEMI_MINUS, KIND_SEMI_PLUS
 from ringwave.lorentz import WavePacket, boost_packet
+from ringwave.model import SIGN_MINUS
 
 K = codata_constants()
 PHOTON = pair_threshold_photon(K)
@@ -81,7 +81,7 @@ def test_04_photon_is_neutral_and_halves_balance():
 
 
 def test_05_spin_ledger():
-    plus, minus = split_photon(PHOTON, K)
+    plus, minus = SEMI, semi_photon_model(1.0, K, sign=SIGN_MINUS)
     j = PHOTON.mass_equivalent * PHOTON.r_p ** 2 * PHOTON.omega_p
     _check(
         f"spin: photon hbar, halves hbar/2 each, J = {j:.6g} erg*s",

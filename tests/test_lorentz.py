@@ -10,6 +10,7 @@ from ringwave import (
     boost_packet,
     boost_plane_fields,
     codata_constants,
+    invariant_constants,
     pair_threshold_photon,
     semi_photon_model,
 )
@@ -49,6 +50,14 @@ def test_receding_at_beta_06_halves_frequency():
     assert abs(report.primed.energy / (0.5 * PACKET.energy) - 1.0) < 1e-14
     assert abs(report.primed.volume / (2.0 * PACKET.volume) - 1.0) < 1e-14
     assert abs(report.primed.e_o / (0.5 * PACKET.e_o) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("amp", [1e200, 1e-200])
+def test_boost_takes_any_amplitude_the_packet_takes(amp):
+    # E'.E' over- or underflows here; |E'| itself is finite and positive
+    report = boost_packet(WavePacket(amp, 1.0, 1.0, 1.0), 0.6)
+    assert abs(report.primed.e_o / (0.5 * amp) - 1.0) < 1e-15
+    assert report.ratio_deviations < 1e-15
 
 
 def test_approaching_frame_blueshifts():
@@ -152,3 +161,29 @@ def test_boost_packet_calls_the_public_field_law_once_per_moving_frame(monkeypat
     assert calls == [(b, 0.0, 0.0) for b in betas if b != 0.0]
     monkeypatch.undo()
     assert reports == [boost_packet(PACKET, b) for b in betas]
+
+
+def test_report_carries_the_invariants_of_the_primed_packet():
+    for beta in (-0.99, -0.6, 0.0, 0.3, 0.6, 0.99):
+        report = boost_packet(PACKET, beta)
+        prim = report.primed
+        assert report.invariants == invariant_constants(
+            prim.e_o, prim.omega, prim.energy, prim.volume), beta
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["c1", "c2", "c3"])
+def test_a_wrong_ratio_in_the_moved_frame_shows_in_the_deviation(index, monkeypatch):
+    # the deviation compares the ratios that invariant_constants reports:
+    # one ratio off by 1e-6 in the moved frame must show as a 1e-6 drift
+    import ringwave.lorentz
+
+    def skewed(e_o, omega, energy, volume):
+        ratios = list(invariant_constants(e_o, omega, energy, volume))
+        if omega != PACKET.omega:
+            ratios[index] *= 1.0 + 1e-6
+        return tuple(ratios)
+
+    monkeypatch.setattr(ringwave.lorentz, "invariant_constants", skewed)
+    for beta in (-0.9, 0.5):
+        assert abs(boost_packet(PACKET, beta).ratio_deviations / 1e-6 - 1.0) < 1e-6
+    assert boost_packet(PACKET, 0.0).ratio_deviations == 0.0

@@ -12,9 +12,9 @@ from ringwave import (
     magnetic_moment,
     pair_threshold_photon,
     semi_photon_model,
-    split_photon,
     uncertainty_min_length,
 )
+from ringwave.model import SIGN_MINUS, SIGN_PLUS
 
 K = codata_constants()
 PHOTON = pair_threshold_photon(K)
@@ -44,10 +44,11 @@ def test_torus_angular_momentum_is_hbar():
 
 
 def test_invariant_constants_of_threshold_photon():
-    ic = invariant_constants(1.0, PHOTON.omega_p, PHOTON.energy, PHOTON.volume)
-    assert abs(ic.c2 / K.hbar - 1.0) < 1e-14
+    c1, c2, c3 = invariant_constants(1.0, PHOTON.omega_p, PHOTON.energy, PHOTON.volume)
+    assert c1 == 1.0 / PHOTON.omega_p
+    assert abs(c2 / K.hbar - 1.0) < 1e-14
     # product of the volume and frequency values above
-    assert abs(ic.c3 / 2.2060907705164102e-10 - 1.0) < 1e-12
+    assert abs(c3 / 2.2060907705164102e-10 - 1.0) < 1e-12
     with pytest.raises(DomainError):
         invariant_constants(1.0, 0.0, 1.0, 1.0)
 
@@ -58,9 +59,9 @@ def test_invariants_linear_in_frequency():
     ic = invariant_constants(2.5, PHOTON.omega_p, PHOTON.energy, PHOTON.volume)
     doubled = invariant_constants(5.0, 2.0 * PHOTON.omega_p, 2.0 * PHOTON.energy,
                                   0.5 * PHOTON.volume)
-    assert abs(doubled.c1 / ic.c1 - 1.0) < 1e-14
-    assert abs(doubled.c2 / ic.c2 - 1.0) < 1e-14
-    assert abs(doubled.c3 / ic.c3 - 1.0) < 1e-14
+    assert type(ic) is tuple and len(ic) == 3
+    for c_doubled, c in zip(doubled, ic):
+        assert abs(c_doubled / c - 1.0) < 1e-14
     with pytest.raises(DomainError):
         invariant_constants(5.0, -1.0, 2.0 * PHOTON.energy, 0.5 * PHOTON.volume)
 
@@ -200,18 +201,15 @@ def test_moment_linear_in_charge_and_free_of_zeta():
 
 
 def test_split_preserves_geometry_and_balances_charge():
-    plus, minus = split_photon(PHOTON, K)
-    assert plus.r_s == PHOTON.r_p
-    assert plus.omega_s == PHOTON.omega_p
-    assert plus.sigma_s == 0.5 * K.hbar and minus.sigma_s == 0.5 * K.hbar
+    # the photon's two halves: the electron (plus) and positron (minus) at zeta = 1
+    plus = semi_photon_model(1.0, K, sign=SIGN_PLUS)
+    minus = semi_photon_model(1.0, K, sign=SIGN_MINUS)
+    for half in (plus, minus):
+        assert half.r_s == PHOTON.r_p
+        assert half.omega_s == PHOTON.omega_p
+        assert half.sigma_s == 0.5 * K.hbar
     assert plus.sigma_s + minus.sigma_s == PHOTON.spin
-    assert plus.q_s + minus.q_s == 0.0
-
-
-def test_split_rejects_off_threshold_photon():
-    heavier = PHOTON.replace(energy=1.5 * PHOTON.energy)
-    with pytest.raises(DomainError):
-        split_photon(heavier, K)
+    assert plus.q_s > 0.0 and plus.q_s + minus.q_s == 0.0
 
 
 def test_uncertainty_forms_guard():

@@ -21,7 +21,6 @@ from ringwave import (
     FieldSample,
     FrenetFrame,
     IntegralReport,
-    InvariantConstants,
     PhotonModel,
     PhysicalConstants,
     QuadratureSpec,
@@ -74,13 +73,11 @@ RECORDS = {
                      {"closed_form": 0.0}, None),
     WavePacket: (PACKET, ("e_o", "omega", "energy", "volume"),
                  {"volume": 5.0}, {"omega": math.nan}),
-    BoostReport: (boost_packet(PACKET, 0.5), ("beta", "primed", "ratio_deviations"),
-                  {"beta": 0.25}, None),
+    BoostReport: (boost_packet(PACKET, 0.5), ("primed", "invariants", "ratio_deviations"),
+                  {"ratio_deviations": 0.25}, None),
     PhotonModel: (pair_threshold_photon(K),
                   ("energy", "momentum", "omega_p", "lambda_p", "r_p", "s_p", "volume",
                    "spin", "mass_equivalent", "n", "nu"), {"n": 2.0}, None),
-    InvariantConstants: (InvariantConstants(1.0, 2.0, 3.0), ("c1", "c2", "c3"),
-                         {"c3": 4.0}, None),
     SemiPhotonModel: (semi_photon_model(1.0, K),
                       ("zeta", "e_o", "r_s", "omega_s", "q_s", "m_s", "alpha_s",
                        "sigma_s", "mu_s", "sign"), {"sign": "minus"}, None),
@@ -149,7 +146,7 @@ def test_record_api(cls):
 
 
 def test_records_of_two_classes_differ_even_with_equal_values():
-    a, b = InvariantConstants(1.0, 2.0, 3.0), FieldSample(1.0, 2.0, 3.0)
+    a, b = FrenetFrame(1.0, 2.0, 3.0), FieldSample(1.0, 2.0, 3.0)
     assert a != b and not a == b
     assert a.asdict() != b.asdict() and a._values() == b._values()
 
