@@ -20,9 +20,9 @@ _EXPORTS = {
                   "electron_scales"),
     "errors": ("DomainError", "EvaluationError", "RingwaveError"),
     "fields": ("KIND_PHOTON", "KIND_SEMI_MINUS", "KIND_SEMI_PLUS",
-               "CurrentDecomposition", "FieldConfiguration", "FieldSample",
-               "charge_density", "displacement_current", "energy_density",
-               "field_at", "mass_density", "sample_grid", "twirled_field"),
+               "FieldConfiguration", "charge_density", "displacement_current",
+               "energy_density", "field_at", "mass_density", "sample_grid",
+               "twirled_field"),
     "geometry": ("FrenetFrame", "RingGeometry", "TorusShape", "frenet_at",
                  "normal_rate", "ring_from_radius"),
     "lorentz": ("BoostReport", "WavePacket", "boost_packet", "boost_plane_fields"),

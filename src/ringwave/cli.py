@@ -388,7 +388,7 @@ def run(args: argparse.Namespace) -> int:
         return 1
     if args.out is not None:
         try:
-            with open(args.out, "w", newline="\n") as fh:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import _DERIVED, DomainError, _Record, _require_positive, _Vec3
-from .geometry import RingGeometry, _outward, frenet_at
+from .geometry import RingGeometry, _outward
 
 # the kinds are also the CLI's `fields --kind` values
 KIND_PHOTON = "photon"
@@ -65,30 +65,6 @@ class FieldConfiguration(_Record):
     @property
     def sign(self) -> float:
         return -1.0 if self.kind == KIND_SEMI_MINUS else 1.0
-
-
-class FieldSample(_Record):
-    """Fields at one arc-length position."""
-
-    l: float
-    E: _Vec3
-    H: _Vec3
-
-
-class CurrentDecomposition(_Record):
-    """Displacement current split into normal and tangential parts.
-
-    j_n, j_tau : 3-vectors (statA/cm^2)
-    j_n_scalar : signed coefficient of j_n along the centripetal normal
-    j_tau_scalar : signed coefficient of j_tau along the tangent
-    complex_form : j_n_scalar + i*j_tau_scalar
-    """
-
-    j_n: _Vec3
-    j_tau: _Vec3
-    j_n_scalar: float
-    j_tau_scalar: float
-    complex_form: complex
 
 
 def twirled_field(kind: str, e_o: float, ring: RingGeometry) -> FieldConfiguration:
@@ -163,7 +139,7 @@ def _grid(cfg: FieldConfiguration, n: int) -> list[float]:
     return [i * step + lo for i in range(n - 1)] + [hi]
 
 
-def field_at(cfg: FieldConfiguration, l: float) -> FieldSample:
+def field_at(cfg: FieldConfiguration, l: float) -> tuple[_Vec3, _Vec3]:
     """E and H vectors at arc length l.
 
     E = a(l) * r_out, H = a(l) * (tau x r_out), so that E x H points
@@ -171,16 +147,18 @@ def field_at(cfg: FieldConfiguration, l: float) -> FieldSample:
     ring plane tau x r_out = -z, so H = -a(l) z.
     """
     _, _, ex, ey, hz, _, _ = _point(cfg, l)
-    return FieldSample(l=l, E=(ex, ey, 0.0), H=(0.0, 0.0, hz))
+    return (ex, ey, 0.0), (0.0, 0.0, hz)
 
 
-def sample_grid(cfg: FieldConfiguration, n: int) -> list[FieldSample]:
-    """n equally spaced samples over the support, endpoints inclusive."""
-    return [field_at(cfg, l) for l in _grid(cfg, n)]
+def sample_grid(cfg: FieldConfiguration, n: int) -> list[tuple[float, _Vec3, _Vec3]]:
+    """(l, E, H) at n equally spaced arc lengths over the support, ends included."""
+    return [(l, *field_at(cfg, l)) for l in _grid(cfg, n)]
 
 
-def displacement_current(cfg: FieldConfiguration, l: float) -> CurrentDecomposition:
-    """Displacement current (1/4pi) dE/dt split along normal and tangent.
+def displacement_current(cfg: FieldConfiguration, l: float) -> tuple[float, float]:
+    """Displacement current (1/4pi) dE/dt as (j_n, j_tau) (statA/cm^2),
+    the signed coefficients along the centripetal normal n and the
+    tangent tau of frenet_at.
 
     Differentiating E(l(t)) = a(l(t)) r_out(l(t)) along the material
     trajectory l(t) = l + c t gives
@@ -191,15 +169,7 @@ def displacement_current(cfg: FieldConfiguration, l: float) -> CurrentDecomposit
     radial rate of the envelope, the second the curvature (ring
     current) term.  Both vanish outside the support.
     """
-    frame = frenet_at(cfg.geometry, l)
-    *_, jn, jtau = _point(cfg, l)
-    return CurrentDecomposition(
-        j_n=tuple(jn * n for n in frame.normal),
-        j_tau=tuple(jtau * t for t in frame.tangent),
-        j_n_scalar=jn,
-        j_tau_scalar=jtau,
-        complex_form=complex(jn, jtau),
-    )
+    return _point(cfg, l)[5:]
 
 
 def charge_density(cfg: FieldConfiguration, l: float) -> float:

@@ -51,10 +51,10 @@ _GL5_WEIGHTS = (
 class QuadratureSpec(_Record):
     """Composite-rule parameters.
 
-    panels : number of equal subintervals, an integer >= 1
+    panels : number of equal subintervals, an int >= 1 (not a bool)
     rule : gauss_legendre_5 or midpoint
-    include_toroidal_jacobian : integrate the exact torus volume element
-        over the cross-section instead of using the flat measure pi r_c^2
+    include_toroidal_jacobian : a bool; integrate the exact torus volume
+        element over the cross-section instead of the flat measure pi r_c^2
     """
 
     panels: int = 64
@@ -62,10 +62,13 @@ class QuadratureSpec(_Record):
     include_toroidal_jacobian: bool = False
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.panels, int) and self.panels >= 1):
+        if not (type(self.panels) is int and self.panels >= 1):
             raise DomainError(f"panel count must be an integer >= 1, got {self.panels!r}")
         if self.rule not in (RULE_GAUSS5, RULE_MIDPOINT):
             raise DomainError(f"unknown quadrature rule {self.rule!r}")
+        if type(self.include_toroidal_jacobian) is not bool:
+            raise DomainError(f"include_toroidal_jacobian must be a bool, "
+                              f"got {self.include_toroidal_jacobian!r}")
 
 
 class IntegralReport(_Record):

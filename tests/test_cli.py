@@ -288,6 +288,21 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert b"\r" not in target.read_bytes()
 
 
+def test_out_file_is_utf8_whatever_the_locale(tmp_path):
+    # -X warn_default_encoding with -W error makes an open() that falls back
+    # on the locale's encoding an EncodingWarning traceback
+    cmd = [sys.executable, "-X", "warn_default_encoding", "-W", "error",
+           "-m", "ringwave.cli", "constants"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    target = tmp_path / "constants.txt"
+    to_stdout = subprocess.run(cmd, env=env, capture_output=True, timeout=60)
+    to_file = subprocess.run([*cmd, "--out", str(target)], env=env,
+                             capture_output=True, timeout=60)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert to_stdout.returncode == 0
+    assert target.read_bytes() == to_stdout.stdout
+
+
 def test_unwritable_out_exits_3(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "fields.csv"
     code, out, err = run_cli(capsys, ["fields", "--out", str(target)])

@@ -34,6 +34,13 @@ def _cfg(kind):
     return twirled_field(kind, AMP, RING)
 
 
+def _current_vectors(cfg, l):
+    # j_n along the centripetal normal and j_tau along the tangent of frenet_at
+    jn, jtau = displacement_current(cfg, l)
+    frame = frenet_at(cfg.geometry, l)
+    return np.multiply(jn, frame.normal), np.multiply(jtau, frame.tangent)
+
+
 def test_twirled_configuration_invariants():
     cfg = _cfg(KIND_PHOTON)
     # kind, amplitude and ring are the only inputs; the rest is derived
@@ -61,9 +68,8 @@ def test_amplitude_whose_current_overflows_is_refused():
     assert math.isinf(math.nextafter(edge, math.inf) * RING.omega_K)
     cfg = twirled_field(KIND_PHOTON, edge, RING)
     for l in (0.0, 0.25 * RING.circumference, 0.3):
-        current = displacement_current(cfg, l)
-        assert math.isfinite(current.j_n_scalar) and math.isfinite(current.j_tau_scalar)
-        assert np.all(np.isfinite(current.j_n)) and np.all(np.isfinite(current.j_tau))
+        jn, jtau = displacement_current(cfg, l)
+        assert math.isfinite(jn) and math.isfinite(jtau)
 
 
 def test_energy_density_refuses_an_amplitude_whose_square_overflows():
@@ -87,28 +93,27 @@ def test_kinds_are_the_cli_kind_values():
 
 def test_field_magnitude_at_crest_and_node():
     cfg = _cfg(KIND_PHOTON)
-    crest = field_at(cfg, 0.0)
-    assert abs(np.linalg.norm(crest.E) / AMP - 1.0) < 1e-14
-    node = field_at(cfg, 0.25 * LAM)
-    assert np.linalg.norm(node.E) < 1e-12 * AMP
+    crest, _ = field_at(cfg, 0.0)
+    assert abs(np.linalg.norm(crest) / AMP - 1.0) < 1e-14
+    node, _ = field_at(cfg, 0.25 * LAM)
+    assert np.linalg.norm(node) < 1e-12 * AMP
 
 
 def test_e_and_h_balanced_and_orthogonal():
     cfg = _cfg(KIND_PHOTON)
     for l in np.linspace(0.0, LAM, 23):
-        s = field_at(cfg, float(l))
-        assert abs(np.linalg.norm(s.E) - np.linalg.norm(s.H)) <= 1e-12 * AMP
-        assert abs(np.dot(s.E, s.H)) <= 1e-12 * AMP * AMP
+        E, H = field_at(cfg, float(l))
+        assert abs(np.linalg.norm(E) - np.linalg.norm(H)) <= 1e-12 * AMP
+        assert abs(np.dot(E, H)) <= 1e-12 * AMP * AMP
 
 
 def test_poynting_direction_along_travel():
     cfg = _cfg(KIND_PHOTON)
-    from ringwave import frenet_at
     for l in (0.0, 0.1 * LAM, 0.6 * LAM):
-        s = field_at(cfg, l)
-        if np.linalg.norm(s.E) < 1e-6 * AMP:
+        E, H = field_at(cfg, l)
+        if np.linalg.norm(E) < 1e-6 * AMP:
             continue
-        poynting = np.cross(s.E, s.H)
+        poynting = np.cross(E, H)
         tangent = frenet_at(RING, l).tangent
         assert np.dot(poynting, tangent) > 0.0
 
@@ -116,15 +121,15 @@ def test_poynting_direction_along_travel():
 def test_minus_kind_is_pointwise_negation():
     plus, minus = _cfg(KIND_SEMI_PLUS), _cfg(KIND_SEMI_MINUS)
     for l in np.linspace(0.0, LAM, 37):
-        sp, sm = field_at(plus, float(l)), field_at(minus, float(l))
-        assert np.allclose(sm.E, np.negative(sp.E))
-        assert np.allclose(sm.H, np.negative(sp.H))
+        (ep, hp), (em, hm) = field_at(plus, float(l)), field_at(minus, float(l))
+        assert np.allclose(em, np.negative(ep))
+        assert np.allclose(hm, np.negative(hp))
 
 
 def test_semi_field_vanishes_off_support():
     plus = _cfg(KIND_SEMI_PLUS)
-    s = field_at(plus, 0.75 * LAM)
-    assert s.E == s.H == (0.0, 0.0, 0.0)
+    E, H = field_at(plus, 0.75 * LAM)
+    assert E == H == (0.0, 0.0, 0.0)
 
 
 def test_no_quarter_turn_rotation_maps_plus_to_minus():
@@ -148,8 +153,7 @@ def test_no_quarter_turn_rotation_maps_plus_to_minus():
         if abs(x[2]) > 1e-9 * r or abs(math.hypot(x[0], x[1]) - r) > 1e-9 * r:
             return np.zeros(3), np.zeros(3)
         l = (math.atan2(x[1], x[0]) % (2.0 * math.pi)) * r
-        s = field_at(cfg, l)
-        return s.E, s.H
+        return field_at(cfg, l)
 
     points = [
         np.array([r * math.cos(a), r * math.sin(a), 0.0])
@@ -171,31 +175,24 @@ def test_no_quarter_turn_rotation_maps_plus_to_minus():
 
 def test_current_split_values_at_crest():
     cfg = _cfg(KIND_PHOTON)
-    dec = displacement_current(cfg, 0.0)
+    j_n, j_tau = _current_vectors(cfg, 0.0)
     expected = RING.omega_K * AMP / (4.0 * math.pi)
-    assert abs(np.linalg.norm(dec.j_tau) / expected - 1.0) < 1e-12
-    assert np.linalg.norm(dec.j_n) < 1e-12 * expected
+    assert abs(np.linalg.norm(j_tau) / expected - 1.0) < 1e-12
+    assert np.linalg.norm(j_n) < 1e-12 * expected
 
 
 def test_tangential_current_vanishes_with_field():
     cfg = _cfg(KIND_PHOTON)
-    dec = displacement_current(cfg, 0.25 * LAM)
-    assert np.linalg.norm(dec.j_tau) < 1e-12 * RING.omega_K * AMP
+    _, j_tau = _current_vectors(cfg, 0.25 * LAM)
+    assert np.linalg.norm(j_tau) < 1e-12 * RING.omega_K * AMP
 
 
 def test_current_components_perpendicular():
     cfg = _cfg(KIND_PHOTON)
     for l in np.linspace(0.01, 0.99, 11) * LAM:
-        dec = displacement_current(cfg, float(l))
-        bound = 1e-12 * np.linalg.norm(dec.j_n) * np.linalg.norm(dec.j_tau)
-        assert abs(np.dot(dec.j_n, dec.j_tau)) <= bound
-
-
-def test_complex_form_collects_both_scalars():
-    cfg = _cfg(KIND_PHOTON)
-    dec = displacement_current(cfg, 0.13 * LAM)
-    assert dec.complex_form == complex(dec.j_n_scalar, dec.j_tau_scalar)
-    assert abs(dec.complex_form) > 0.0
+        j_n, j_tau = _current_vectors(cfg, float(l))
+        bound = 1e-12 * np.linalg.norm(j_n) * np.linalg.norm(j_tau)
+        assert abs(np.dot(j_n, j_tau)) <= bound
 
 
 def test_plane_kind_is_rejected():
@@ -211,10 +208,9 @@ def test_finite_difference_reproduces_current_vector():
     cfg = _cfg(KIND_PHOTON)
     l = 0.2 * LAM
     tau = 1e-5 / RING.omega_K
-    g = lambda t: np.array(field_at(cfg, l + K.c * t).E)
+    g = lambda t: np.array(field_at(cfg, l + K.c * t)[0])
     fd = (g(tau) - g(-tau)) / (2.0 * tau) / (4.0 * math.pi)
-    dec = displacement_current(cfg, l)
-    total = np.add(dec.j_n, dec.j_tau)
+    total = np.add(*_current_vectors(cfg, l))
     assert np.linalg.norm(fd - total) / np.linalg.norm(total) < 1e-8
 
 
@@ -224,29 +220,28 @@ def test_finite_difference_split_at_random_arc_lengths():
     cfg = _cfg(KIND_PHOTON)
     for l in rng.uniform(0.0, LAM, 64):
         l = float(l)
-        g = lambda t: np.array(field_at(cfg, l + K.c * t).E)
+        g = lambda t: np.array(field_at(cfg, l + K.c * t)[0])
         fd = (g(tau) - g(-tau)) / (2.0 * tau) / (4.0 * math.pi)
-        dec = displacement_current(cfg, l)
-        total = np.add(dec.j_n, dec.j_tau)
+        total = np.add(*_current_vectors(cfg, l))
         assert np.linalg.norm(fd - total) / np.linalg.norm(total) < 1e-8, l
 
 
 def test_mass_current_matches_tangential_term():
     cfg = _cfg(KIND_PHOTON)
     for l in (0.0, 0.11 * LAM, 0.35 * LAM):
-        tau_mag = np.linalg.norm(displacement_current(cfg, l).j_tau)
-        e_mag = np.linalg.norm(field_at(cfg, l).E)
+        tau_mag = np.linalg.norm(_current_vectors(cfg, l)[1])
+        e_mag = np.linalg.norm(field_at(cfg, l)[0])
         mass_current = RING.omega_K / (4.0 * math.pi) * e_mag
         assert abs(tau_mag - mass_current) <= 1e-12 * RING.omega_K * AMP
 
 
 def test_mass_current_values():
     # omega/4pi at the electron frequency, evaluated independently
-    crest = displacement_current(twirled_field(KIND_PHOTON, 1.0, RING), 0.0)
-    assert abs(crest.j_tau_scalar / 1.2355899638074137e20 - 1.0) < 1e-12
+    _, crest = displacement_current(twirled_field(KIND_PHOTON, 1.0, RING), 0.0)
+    assert abs(crest / 1.2355899638074137e20 - 1.0) < 1e-12
     # no field, no mass current: the far half of a semi-photon's ring
     semi = twirled_field(KIND_SEMI_PLUS, 1.0, RING)
-    assert displacement_current(semi, 0.75 * LAM).j_tau_scalar == 0.0
+    assert displacement_current(semi, 0.75 * LAM)[1] == 0.0
 
 
 def test_charge_density_profile():
@@ -272,11 +267,12 @@ def test_energy_and_mass_density():
 def test_sample_grid_spacing_and_balance():
     cfg = _cfg(KIND_PHOTON)
     two = sample_grid(cfg, 2)
-    assert two[0].l == 0.0 and two[1].l == cfg.support[1]
+    assert two[0][0] == 0.0 and two[1][0] == cfg.support[1]
     five = sample_grid(cfg, 5)
-    assert abs(five[1].l - 0.25 * LAM) < 1e-12 * LAM
-    for s in sample_grid(cfg, 33):
-        assert abs(np.linalg.norm(s.E) - np.linalg.norm(s.H)) <= 1e-12 * AMP
+    assert abs(five[1][0] - 0.25 * LAM) < 1e-12 * LAM
+    for l, E, H in sample_grid(cfg, 33):
+        assert field_at(cfg, l) == (E, H)
+        assert abs(np.linalg.norm(E) - np.linalg.norm(H)) <= 1e-12 * AMP
     with pytest.raises(DomainError):
         sample_grid(cfg, 1)
 
@@ -286,12 +282,12 @@ def test_closed_form_h_matches_cross_product_definition():
     for kind in (KIND_PHOTON, KIND_SEMI_PLUS):
         cfg = _cfg(kind)
         for l in np.linspace(-0.3, 1.3, 97) * LAM:
-            s = field_at(cfg, float(l))
+            _, H = field_at(cfg, float(l))
             frame = frenet_at(RING, float(l))
             a = amplitude_at(cfg, float(l))
             reference = a * np.cross(frame.tangent, np.negative(frame.normal))
             tol = 4.0 * math.ulp(abs(a))
-            assert np.max(np.abs(np.subtract(s.H, reference))) <= tol, (kind, l)
+            assert np.max(np.abs(np.subtract(H, reference))) <= tol, (kind, l)
 
 
 def test_vector_api_wraps_the_scalar_kernel():
@@ -302,16 +298,17 @@ def test_vector_api_wraps_the_scalar_kernel():
         for l in np.linspace(-0.3, 1.3, 97) * LAM:
             l = float(l)
             x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
-            s = field_at(cfg, l)
-            dec = displacement_current(cfg, l)
+            E, H = field_at(cfg, l)
+            current = displacement_current(cfg, l)
             position = frenet_at(RING, l).position
-            assert s.E == (ex, ey, 0.0), (kind, l)
-            assert s.H == (0.0, 0.0, hz), (kind, l)
-            assert (dec.j_n_scalar, dec.j_tau_scalar) == (jn, jtau)
+            assert E == (ex, ey, 0.0), (kind, l)
+            assert H == (0.0, 0.0, hz), (kind, l)
+            assert current == (jn, jtau), (kind, l)
             assert position == (x, y, 0.0), (kind, l)
-        for vector in (s.E, s.H, dec.j_n, dec.j_tau, position):
+        for vector in (E, H, position):
             assert type(vector) is tuple and len(vector) == 3
             assert all(type(c) is float for c in vector)
+        assert type(current) is tuple and all(type(c) is float for c in current)
 
 
 def test_grid_equals_linspace():
@@ -320,4 +317,4 @@ def test_grid_equals_linspace():
         lo, hi = cfg.support
         for n in [*range(2, 65), *range(1900, 2101)]:
             assert _grid(cfg, n) == np.linspace(lo, hi, n).tolist(), (kind, n)
-        assert [s.l for s in sample_grid(cfg, 9)] == _grid(cfg, 9)
+        assert [l for l, _, _ in sample_grid(cfg, 9)] == _grid(cfg, 9)

@@ -55,8 +55,9 @@ print(code, "json" in sys.modules,
 """
 
 # Runs in a `python -S` interpreter, where numpy cannot be imported: calls
-# the vector API and prints, per function, whether every 3-vector it returned
-# is a tuple of three floats, then whether numpy can be found or was loaded.
+# the vector API and prints, per function, whether every vector it returned
+# is a tuple of floats (three per 3-vector, two for the current split), then
+# whether numpy can be found or was loaded.
 VECTOR_PROBE = """
 import importlib.util, json, sys
 from ringwave import (KIND_SEMI_PLUS, boost_plane_fields, displacement_current,
@@ -64,18 +65,18 @@ from ringwave import (KIND_SEMI_PLUS, boost_plane_fields, displacement_current,
                       sample_grid, twirled_field)
 ring = ring_from_radius(1.0, 3.0)
 cfg = twirled_field(KIND_SEMI_PLUS, 1.0, ring)
-frame, sample = frenet_at(ring, 0.3), field_at(cfg, 0.3)
-current = displacement_current(cfg, 0.3)
-vectors = {
-    "frenet_at": [frame.position, frame.tangent, frame.normal],
-    "normal_rate": [normal_rate(ring, 3.0, 0.3)],
-    "field_at": [sample.E, sample.H],
-    "sample_grid": [v for s in sample_grid(cfg, 3) for v in (s.E, s.H)],
-    "displacement_current": [current.j_n, current.j_tau],
-    "boost_plane_fields": list(boost_plane_fields(sample.E, sample.H, (0.5, 0.0, 0.0))),
+frame, (e, h) = frenet_at(ring, 0.3), field_at(cfg, 0.3)
+floats = lambda v, n: type(v) is tuple and len(v) == n and all(type(c) is float for c in v)
+returned = {
+    "frenet_at": all(floats(v, 3) for v in (frame.position, frame.tangent, frame.normal)),
+    "normal_rate": floats(normal_rate(ring, 3.0, 0.3), 3),
+    "field_at": floats(e, 3) and floats(h, 3),
+    "sample_grid": all(type(l) is float and floats(el, 3) and floats(hl, 3)
+                       for l, el, hl in sample_grid(cfg, 3)),
+    "displacement_current": floats(displacement_current(cfg, 0.3), 2),
+    "boost_plane_fields": all(floats(v, 3) for v in boost_plane_fields(e, h, (0.5, 0.0, 0.0))),
 }
-vec3 = lambda v: type(v) is tuple and len(v) == 3 and all(type(c) is float for c in v)
-print(json.dumps({name: all(map(vec3, vs)) for name, vs in vectors.items()}))
+print(json.dumps(returned))
 print(importlib.util.find_spec("numpy") is not None, "numpy" in sys.modules)
 """
 

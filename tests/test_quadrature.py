@@ -36,6 +36,11 @@ def test_spec_validation():
         QuadratureSpec(panels=0)
     with pytest.raises(DomainError):
         QuadratureSpec(rule="trapezoid")
+    # a bool is not a panel count, and a truthy string is not a flag
+    with pytest.raises(DomainError, match="panel count"):
+        QuadratureSpec(panels=True)
+    with pytest.raises(DomainError, match="must be a bool"):
+        QuadratureSpec(panels=2, rule=RULE_MIDPOINT, include_toroidal_jacobian="no")
 
 
 def test_integral_report_record_fields():
@@ -267,8 +272,8 @@ def test_scalar_mass_integrand_matches_field_definition():
         for i in range(SPEC.panels):
             for node in _GL5_NODES:
                 l = (i + 0.5) * h + 0.5 * h * node
-                s = field_at(cfg, l)
-                vector = sum(c * c for c in s.E + s.H) / (8.0 * math.pi) / (ring.c * ring.c)
+                E, H = field_at(cfg, l)
+                vector = sum(c * c for c in E + H) / (8.0 * math.pi) / (ring.c * ring.c)
                 assert abs(mass_density(cfg, l) - vector) <= 1e-15 * vector, (kind, l)
 
 

@@ -14,11 +14,9 @@ import ringwave
 from ringwave import (
     KIND_PHOTON,
     BoostReport,
-    CurrentDecomposition,
     DomainError,
     ElectronScales,
     FieldConfiguration,
-    FieldSample,
     FrenetFrame,
     IntegralReport,
     PhotonModel,
@@ -52,19 +50,13 @@ RECORDS = {
     ElectronScales: (electron_scales(K), ("r_0", "lambda_bar_c"), {"r_0": 1.0}, None),
     RingGeometry: (RING, ("r_k", "c", "K", "omega_K", "circumference"),
                    {"r_k": 3.0}, {"r_k": math.inf}),
-    # the vector records hold tuples here: the base compares any values
+    # the vector record holds tuples here: the base compares any values
     FrenetFrame: (FrenetFrame((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)),
                   ("position", "tangent", "normal"), {"normal": (0.0, 0.0, 1.0)}, None),
     TorusShape: (TorusShape(2.0, 1.0), ("r_s", "r_c"), {"r_c": 0.5}, {"r_c": 3.0}),
     FieldConfiguration: (twirled_field(KIND_PHOTON, 1.0, RING),
                          ("kind", "e_o", "geometry", "support"),
                          {"e_o": 2.0}, {"e_o": math.nan}),
-    FieldSample: (FieldSample(0.5, (1.0, 0.0, 0.0), (0.0, 0.0, -1.0)),
-                  ("l", "E", "H"), {"l": 1.5}, None),
-    CurrentDecomposition: (
-        CurrentDecomposition((0.0, 1.0, 0.0), (2.0, 0.0, 0.0), 1.0, 2.0, complex(1.0, 2.0)),
-        ("j_n", "j_tau", "j_n_scalar", "j_tau_scalar", "complex_form"),
-        {"j_tau_scalar": 3.0}, None),
     QuadratureSpec: (QuadratureSpec(), ("panels", "rule", "include_toroidal_jacobian"),
                      {"panels": 8}, {"panels": 0}),
     IntegralReport: (IntegralReport(1.5, 3.0, 1.0),
@@ -146,7 +138,7 @@ def test_record_api(cls):
 
 
 def test_records_of_two_classes_differ_even_with_equal_values():
-    a, b = FrenetFrame(1.0, 2.0, 3.0), FieldSample(1.0, 2.0, 3.0)
+    a, b = FrenetFrame(1.0, 2.0, 3.0), BoostReport(1.0, 2.0, 3.0)
     assert a != b and not a == b
     assert a.asdict() != b.asdict() and a._values() == b._values()
 
