@@ -56,6 +56,10 @@ CASES = [
     ("usage.fields.kind", ["fields", "--kind", "electron"], 2),
     ("usage.fields.samples", ["fields", "--samples", "1"], 2),
     ("usage.consistency.rule", ["consistency", "--rule", "simpson"], 2),
+    ("usage.consistency.panels", ["consistency", "--panels", "0"], 2),
+    ("usage.semiphoton.zeta-text", ["semiphoton", "--zeta", "abc"], 2),
+    ("usage.fields.samples-float", ["fields", "--samples", "2.5"], 2),
+    ("usage.fields.amplitude-nan", ["fields", "--amplitude", "nan"], 2),
     ("usage.dispersion.unknown-option", ["dispersion", "--panels", "4"], 2),
 ]
 COLUMNS = "80"
