@@ -32,7 +32,7 @@ import sys
 from typing import Callable
 
 from .constants import PhysicalConstants, codata_constants, electron_scales
-from .errors import EvaluationError, RingwaveError
+from .errors import DomainError, EvaluationError, RingwaveError, _require_number
 
 INVARIANT_THRESHOLD = 1e-9
 DEFAULT_BETA_GRID = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
@@ -65,30 +65,23 @@ def _json_text(obj) -> str:
 
 
 def _ranged(kind: type, lo: float, hi: float, bounds: str) -> Callable[[str], float]:
-    """argparse type: a finite kind(text) in the interval lo..hi.
-
-    bounds gives the interval's brackets, "[" / "]" closed and "(" / ")"
-    open, as in "(]" for 0 < v <= 1.
-    """
-    interval = f"{bounds[0]}{lo:g}, {hi:g}{bounds[1]}"
+    """argparse type: kind(text), then errors._require_number(v, "", lo, hi, bounds)."""
 
     def parse(text: str):
         try:
             v = kind(text)
+            _require_number(v, "", lo, hi, bounds)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"not {'an integer' if kind is int else 'a number'}: {text!r}")
-        inside = ((lo < v if bounds[0] == "(" else lo <= v)
-                  and (v < hi if bounds[1] == ")" else v <= hi))
-        if not (math.isfinite(v) and inside):
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number in {interval}, got {v}")
+                f"not {'an integer' if kind is int else 'a number'}: {text!r}") from None
         return v
 
     return parse
 
 
-_beta_arg = _ranged(float, -1.0, 1.0, "()")
+_beta_arg = _ranged(float, -1, 1, "()")
 
 
 def _beta_grid_arg(text: str) -> tuple[float, ...]:
@@ -105,7 +98,7 @@ def _subparser(chosen: str | None, **kwargs) -> argparse.ArgumentParser | None:
         return None
     p = argparse.ArgumentParser(**kwargs)
     if chosen in ("semiphoton", "consistency"):
-        p.add_argument("--zeta", type=_ranged(float, 0.0, 1.0, "(]"), default=1.0,
+        p.add_argument("--zeta", type=_ranged(float, 0, 1, "(]"), default=1.0,
                        help="torus thinness ratio in (0, 1], default %(default)g")
     if chosen == "semiphoton":
         p.add_argument("--thomas", action="store_true",
@@ -119,7 +112,7 @@ def _subparser(chosen: str | None, **kwargs) -> argparse.ArgumentParser | None:
 
         p.add_argument("--kind", choices=sorted(TWIRLED_KINDS), default=KIND_PHOTON)
         p.add_argument("--samples", type=_ranged(int, 2, math.inf, "[)"), default=256)
-        p.add_argument("--amplitude", type=_ranged(float, 0.0, math.inf, "()"),
+        p.add_argument("--amplitude", type=_ranged(float, 0, math.inf, "()"),
                        help="field amplitude in statV/cm; default is the"
                             " zeta=1 semi-photon amplitude")
         p.add_argument("--out", help="write CSV to this path instead of stdout")
@@ -226,9 +219,7 @@ def _cmd_semiphoton(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str
     record["mu_s"] = magnetic_moment(
         model.q_s, model.r_s, model.omega_s, k.c, thomas=args.thomas
     )
-    vp = None
-    if model.alpha_s > k.alpha_exp:
-        vp = vacuum_polarization(model.alpha_s, k)
+    vp = vacuum_polarization(model.alpha_s, k) if model.alpha_s > k.alpha_exp else None
 
     if args.format == "json":
         return _json_text({
@@ -304,9 +295,7 @@ def _cmd_fields(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, in
 
     photon = pair_threshold_photon(k)
     ring = ring_from_radius(photon.r_p, k.c)
-    amp = args.amplitude
-    if amp is None:
-        amp = semi_photon_model(1.0, k).e_o
+    amp = semi_photon_model(1.0, k).e_o if args.amplitude is None else args.amplitude
     cfg = twirled_field(args.kind, amp, ring)
     lines = ["l,x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jn,jtau"]
     for l in _grid(cfg, args.samples):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import _Record, _require_positive
+from .errors import _Record, _require_number
 
 C_LIGHT = 2.99792458e10        # speed of light, cm/s (exact)
 H_PLANCK = 6.62607015e-27      # Planck constant, erg*s (exact)
@@ -44,7 +44,8 @@ class PhysicalConstants(_Record):
     alpha_exp: float
 
     def __post_init__(self) -> None:
-        _require_positive(self.asdict(), "constant ")
+        for name in self.fields:
+            _require_number(getattr(self, name), f"constant {name}")
 
 
 class ElectronScales(_Record):

@@ -1,4 +1,5 @@
-"""Exception types, the frozen-record base and the 3-vector type of the package."""
+"""Exception types, the number check behind every validator and the CLI's
+ranged options, the frozen-record base and the 3-vector type of the package."""
 
 from __future__ import annotations
 
@@ -17,11 +18,20 @@ class EvaluationError(RingwaveError, ArithmeticError):
     """A field or integrand evaluation produced a non-finite value."""
 
 
-def _require_positive(values: dict[str, float], prefix: str = "") -> None:
-    """Raise DomainError for the first value that is not finite and positive."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{prefix}{name} must be finite and positive: {value}")
+def _require_number(value, name: str, lo: float = 0.0, hi: float = math.inf,
+                    bounds: str = "()") -> None:
+    """The number check: DomainError unless value is a finite real, not a
+    bool, in the interval lo..hi, by default (0, inf).  bounds gives its
+    brackets, "[" / "]" closed and "(" / ")" open: "(]" is lo < value <= hi."""
+    try:
+        if ((lo < value or bounds[0] == "[" and lo == value)
+                and (value < hi or bounds[1] == "]" and value == hi)
+                and type(value) is not bool and math.isfinite(value)):
+            return
+    except (TypeError, ArithmeticError):  # not a number, an int past every float, a Decimal NaN
+        pass
+    text = f"must be a finite number in {bounds[0]}{lo}, {hi}{bounds[1]}, got {value!r}"
+    raise DomainError(f"{name} {text}" if name else text)
 
 
 _Vec3 = tuple[float, float, float]  # every 3-vector the package returns

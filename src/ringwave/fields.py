@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import _DERIVED, DomainError, _Record, _require_positive, _Vec3
+from .errors import _DERIVED, DomainError, _Record, _require_number, _Vec3
 from .geometry import RingGeometry, _outward
 
 # the kinds are also the CLI's `fields --kind` values
@@ -55,7 +55,7 @@ class FieldConfiguration(_Record):
     def __post_init__(self) -> None:
         if self.kind not in TWIRLED_KINDS:
             raise DomainError(f"not a twirled kind: {self.kind!r}")
-        _require_positive({"field amplitude": self.e_o})
+        _require_number(self.e_o, "field amplitude")
         if not math.isfinite(self.e_o * self.geometry.omega_K):  # bounds |jn| and |jtau|
             raise DomainError(f"displacement current overflows at amplitude {self.e_o:g}")
         lam = self.geometry.circumference
@@ -132,8 +132,7 @@ def _point(cfg: FieldConfiguration, l: float) -> tuple[float, ...]:
 def _grid(cfg: FieldConfiguration, n: int) -> list[float]:
     """n equally spaced arc lengths over the support, endpoints inclusive:
     linspace(lo, hi, n) bit for bit (i*step + lo, the last point hi)."""
-    if n < 2:
-        raise DomainError("need at least 2 samples")
+    _require_number(n, "sample count", 2, math.inf, "[)")
     lo, hi = cfg.support
     step = (hi - lo) / (n - 1)
     return [i * step + lo for i in range(n - 1)] + [hi]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import _DERIVED, DomainError, _Record, _require_positive, _Vec3
+from .errors import _DERIVED, DomainError, _Record, _require_number, _Vec3
 
 
 class RingGeometry(_Record):
@@ -34,11 +34,12 @@ class RingGeometry(_Record):
     circumference: float = _DERIVED
 
     def __post_init__(self) -> None:
-        _require_positive({"ring radius": self.r_k, "wave speed": self.c})
+        _require_number(self.r_k, "ring radius")
+        _require_number(self.c, "wave speed")
         derived = {"K": 1.0 / self.r_k, "omega_K": self.c / self.r_k,
                    "circumference": 2.0 * math.pi * self.r_k}
-        _require_positive(derived, f"ring of radius {self.r_k} at speed {self.c}: ")
         for name, value in derived.items():
+            _require_number(value, f"ring of radius {self.r_k} at speed {self.c}: {name}")
             object.__setattr__(self, name, value)
 
 
@@ -61,13 +62,9 @@ class TorusShape(_Record):
     r_c: float
 
     def __post_init__(self) -> None:
-        _require_positive({"ring radius": self.r_s, "section radius": self.r_c}, "torus ")
-        if self.r_c > self.r_s:
-            raise DomainError(
-                f"section radius {self.r_c} exceeds ring radius {self.r_s}"
-                " (zeta must lie in (0, 1])"
-            )
-        _require_positive({f"torus section area at r_c = {self.r_c}": self.section_area})
+        _require_number(self.r_s, "torus ring radius")
+        _require_number(self.r_c, "torus section radius", 0.0, self.r_s, "(]")  # zeta in (0, 1]
+        _require_number(self.section_area, f"torus section area at r_c = {self.r_c}")
 
     @property
     def section_area(self) -> float:
@@ -104,6 +101,7 @@ def normal_rate(ring: RingGeometry, v: float, l: float) -> _Vec3:
     With phase phi advancing at v K, d n / d t = -v K tangent: the
     normal swings backward along the direction of travel.
     """
-    if not (math.isfinite(v * ring.K) and v >= 0.0):  # also refuses NaN and inf
-        raise DomainError(f"speed must be non-negative with v K finite: {v}")
+    _require_number(v, "speed", 0.0, math.inf, "[)")
+    if not math.isfinite(v * ring.K):
+        raise DomainError(f"normal rate v K overflows at speed {v}")
     return tuple(-v * ring.K * t for t in frenet_at(ring, l).tangent)

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 
 from .constants import C_LIGHT, HBAR
-from .errors import DomainError, _Record, _Vec3
-from .model import invariant_constants
+from .errors import DomainError, _Record, _require_number, _Vec3
+from .model import _ratios
 
 
 class WavePacket(_Record):
@@ -36,10 +36,10 @@ class WavePacket(_Record):
     volume: float
 
     def __post_init__(self) -> None:
-        for name in self.fields:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"packet {name} must be finite and positive: {value}")
+        _require_number(self.e_o, "packet e_o")  # four calls: boost_packet builds one per beta
+        _require_number(self.omega, "packet omega")
+        _require_number(self.energy, "packet energy")
+        _require_number(self.volume, "packet volume")
 
 
 class BoostReport(_Record):
@@ -88,13 +88,13 @@ def boost_plane_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
 
 
 def boost_packet(p: WavePacket, beta: float) -> BoostReport:
-    """Boost the packet at beta along x, its direction, and audit the invariants."""
-    before = invariant_constants(p.e_o, p.omega, p.energy, p.volume)
+    """Boost the packet at beta in (-1, 1) along x, its direction, and audit the invariants."""
+    _require_number(beta, "beta", -1.0, 1.0)
+    before = _ratios(p.e_o, p.omega, p.energy, p.volume)  # a WavePacket's numbers are checked
     if beta == 0.0:
         return BoostReport(p, before, 0.0)
 
-    # field-transformation route for the amplitude, which also refuses
-    # |beta| >= 1 and NaN; |H'| = |E'| is tested, not used
+    # field-transformation route for the amplitude; |H'| = |E'| is tested, not used
     e_prime, _ = boost_plane_fields((0.0, p.e_o, 0.0), (0.0, 0.0, p.e_o), (beta, 0.0, 0.0))
     e_o_prime = math.hypot(*e_prime)  # E'.E' would over- or underflow first
 
@@ -111,7 +111,7 @@ def boost_packet(p: WavePacket, beta: float) -> BoostReport:
     volume_prime = (p.volume / lam) * lam_prime
 
     primed = WavePacket(e_o_prime, omega_prime, energy_prime, volume_prime)
-    after = invariant_constants(e_o_prime, omega_prime, energy_prime, volume_prime)
+    after = _ratios(e_o_prime, omega_prime, energy_prime, volume_prime)
     drift = max([abs(a / b - 1.0) for a, b in zip(after, before)])
     return BoostReport(primed, after, drift)
 

@@ -16,7 +16,7 @@ import math
 import sys
 
 from .constants import PhysicalConstants
-from .errors import DomainError, EvaluationError, _Record, _require_positive
+from .errors import DomainError, EvaluationError, _Record, _require_number
 
 SIGN_PLUS = "plus"
 SIGN_MINUS = "minus"
@@ -88,10 +88,16 @@ def invariant_constants(
     E_o/omega, energy/omega and volume*omega.  For a physical photon c2
     is hbar.
     """
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise DomainError(f"frequency must be finite and positive: {omega}")
+    for name, value in (("e_o", e_o), ("energy", energy), ("volume", volume)):
+        _require_number(value, f"packet {name}", -math.inf)
+    _require_number(omega, "frequency")
+    return _ratios(e_o, omega, energy, volume)
+
+
+def _ratios(e_o: float, omega: float, energy: float, volume: float) -> tuple[float, float, float]:
+    """invariant_constants of numbers already checked; refuses an overflow."""
     ratios = (e_o / omega, energy / omega, volume * omega)
-    if not all(map(math.isfinite, ratios)):  # a non-finite input, or an overflow
+    if not all(map(math.isfinite, ratios)):
         raise DomainError(f"packet ratios of {e_o}, {omega}, {energy}, {volume}"
                           f" are not finite: {ratios}")
     return ratios
@@ -105,7 +111,7 @@ def uncertainty_min_length(energy: float, k: PhysicalConstants) -> tuple[float, 
     energy whose bound is below the smallest normal double is refused:
     there the forms round apart.
     """
-    _require_positive({"energy": energy})
+    _require_number(energy, "energy")
     planck_form = 2.0 * math.pi * k.hbar * k.c / energy
     if planck_form < sys.float_info.min:
         raise DomainError(f"energy {energy} puts the bound below the smallest"
@@ -126,10 +132,8 @@ def dispersion_omega(k_wave: float, mass: float, k: PhysicalConstants) -> float:
     branch exactly ck and the k = 0 branch exactly m c^2/hbar.  A
     frequency that overflows is refused.
     """
-    if not (math.isfinite(k_wave) and k_wave >= 0.0):
-        raise DomainError(f"wave number must be finite and non-negative: {k_wave}")
-    if not (math.isfinite(mass) and mass >= 0.0):
-        raise DomainError(f"mass must be finite and non-negative: {mass}")
+    _require_number(k_wave, "wave number", 0.0, math.inf, "[)")
+    _require_number(mass, "mass", 0.0, math.inf, "[)")
     omega = math.hypot(k.c * k_wave, mass * k.c * k.c / k.hbar)
     if not math.isfinite(omega):
         raise DomainError(f"frequency overflows at k = {k_wave}, mass = {mass}")
@@ -146,13 +150,14 @@ def magnetic_moment(
     """Moment of the ring current I = q omega/2pi over area pi r_s^2.
 
     Gaussian current-loop formula mu = I S / c; the optional Thomas
-    factor doubles it.  A moment that overflows is refused.
+    factor, a bool, doubles it.  A moment that overflows is refused.
     """
-    if not math.isfinite(q):
-        raise DomainError(f"charge must be finite: {q}")
-    _require_positive({"ring radius": r_s, "ring frequency": omega_s, "wave speed": c})
-    mu = (q * omega_s / (2.0 * math.pi)) * (math.pi * r_s * r_s) / c
-    mu = 2.0 * mu if thomas else mu
+    if type(thomas) is not bool:
+        raise DomainError(f"thomas must be a bool, got {thomas!r}")
+    _require_number(q, "charge", -math.inf)
+    for name, value in (("ring radius", r_s), ("ring frequency", omega_s), ("wave speed", c)):
+        _require_number(value, name)
+    mu = (q * omega_s / (2.0 * math.pi)) * (math.pi * r_s * r_s) / c * (2.0 if thomas else 1.0)
     if not math.isfinite(mu):
         raise DomainError(f"magnetic moment overflows at q = {q}, r_s = {r_s}")
     return mu
@@ -172,8 +177,7 @@ def semi_photon_model(
     hbar/(2 m_e c) is sigma_s/p_s.  Raises EvaluationError when zeta is
     so small that E_o overflows.
     """
-    if not 0.0 < zeta <= 1.0:
-        raise DomainError(f"zeta must lie in (0, 1], got {zeta}")
+    _require_number(zeta, "zeta", 0.0, 1.0, "(]")
     if sign not in (SIGN_PLUS, SIGN_MINUS):
         raise DomainError(f"sign must be plus or minus, got {sign!r}")
     photon = pair_threshold_photon(k)

@@ -1,4 +1,4 @@
-"""Deterministic quadrature of ring-wave charge, mass, and spin.
+"""Deterministic quadrature of ring-wave charge and mass.
 
 Every volume integral of the model factorizes into (cross-section
 measure) x (line integral along the ring), because the densities
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import _DERIVED, DomainError, EvaluationError, _Record
+from .errors import _DERIVED, DomainError, EvaluationError, _Record, _require_number
 from .fields import KIND_PHOTON, FieldConfiguration, charge_density, mass_density
 from .geometry import TorusShape
 
@@ -62,8 +62,9 @@ class QuadratureSpec(_Record):
     include_toroidal_jacobian: bool = False
 
     def __post_init__(self) -> None:
-        if not (type(self.panels) is int and self.panels >= 1):
-            raise DomainError(f"panel count must be an integer >= 1, got {self.panels!r}")
+        if type(self.panels) is not int:  # the number check alone takes 2.0
+            raise DomainError(f"panel count must be an int, got {self.panels!r}")
+        _require_number(self.panels, "panel count", 1, math.inf, "[)")
         if self.rule not in (RULE_GAUSS5, RULE_MIDPOINT):
             raise DomainError(f"unknown quadrature rule {self.rule!r}")
         if type(self.include_toroidal_jacobian) is not bool:
@@ -174,6 +175,7 @@ def _integral_report(
 ) -> IntegralReport:
     """Section measure x line integral of density over the torus of
     thinness zeta on the wave's ring, next to closed_form(pi r_c^2)."""
+    _require_number(zeta, "zeta", 0.0, 1.0, "(]")
     r_k = cfg.geometry.r_k
     shape = TorusShape(r_k, zeta * r_k)
     s_flat = shape.section_area

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .constants import PhysicalConstants, electron_scales
-from .errors import DomainError, _Record
+from .errors import _Record, _require_number
 
 
 class VacuumPolarization(_Record):
@@ -42,10 +42,7 @@ def vacuum_polarization(alpha_bare: float, k: PhysicalConstants) -> VacuumPolari
     Requires alpha_bare > alpha_exp: screening only ever weakens the
     interaction.
     """
-    if not (math.isfinite(alpha_bare) and alpha_bare > k.alpha_exp):
-        raise DomainError(
-            f"bare coupling {alpha_bare} must be finite and exceed the measured {k.alpha_exp}"
-        )
+    _require_number(alpha_bare, "bare coupling", k.alpha_exp)
     eps_v = alpha_bare / k.alpha_exp
     scales = electron_scales(k)
     return VacuumPolarization(

@@ -66,6 +66,16 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("option", ["--samples", "--panels"])
+def test_a_count_past_every_float_is_a_usage_error(option, capsys):
+    # int(text) parses it, but no float holds it
+    command = "fields" if option == "--samples" else "consistency"
+    with pytest.raises(SystemExit) as exc:
+        main([command, option, "1" + "0" * 400])
+    assert exc.value.code == 2
+    assert "must be a finite number in [" in capsys.readouterr().err
+
+
 def test_output_is_byte_deterministic(capsys):
     for argv in (["constants"], ["photon", "--format", "json"],
                  ["semiphoton"], ["fields", "--samples", "16"],

@@ -4,7 +4,9 @@ DomainError (property tests).
 st.floats() draws NaN, both infinities, zero, negatives, subnormals and
 huge values, so each property also pins which finite values pass.  A
 record also refuses finite inputs whose derived values over- or
-underflow; the examples pin one such input each.
+underflow; the examples pin one such input each.  Every numeric
+parameter also refuses True and False: one number check,
+errors._require_number, decides for all of them.
 """
 
 import math
@@ -21,6 +23,7 @@ from ringwave import (
     QuadratureSpec,
     TorusShape,
     WavePacket,
+    boost_packet,
     boost_plane_fields,
     charge_density,
     codata_constants,
@@ -36,10 +39,14 @@ from ringwave import (
     normal_rate,
     pair_threshold_photon,
     ring_from_radius,
+    sample_grid,
+    semi_photon_model,
+    total_charge,
     twirled_field,
     uncertainty_min_length,
     vacuum_polarization,
 )
+from ringwave.cli import parse_args
 from ringwave.fields import amplitude_at
 
 K = codata_constants()
@@ -294,3 +301,58 @@ def test_magnetic_moment_takes_a_finite_charge_and_a_finite_positive_ring(
     else:
         with pytest.raises(DomainError):
             magnetic_moment(q, r_s, omega_s, c, thomas=thomas)
+
+
+def _replacing(make, base: dict, name: str):
+    """The call make(**base) with the argument name set to the value."""
+    return lambda value: make(**{**base, name: value})
+
+
+# every numeric parameter that a validator checks, as a call given the value
+_MOMENT = {"q": 1.0, "r_s": 1.0, "omega_s": 1.0, "c": 1.0}
+_RATIOS = {"e_o": 1.0, "omega": 2.0, "energy": 1.0, "volume": 1.0}
+NUMBER_PARAMETERS = {
+    **{f"PhysicalConstants.{n}": _replacing(K.replace, {}, n) for n in K.init_fields},
+    "RingGeometry.r_k": lambda v: ring_from_radius(v, K.c),
+    "RingGeometry.c": lambda v: ring_from_radius(PHOTON.r_p, v),
+    "TorusShape.r_s": lambda v: TorusShape(v, 0.5),
+    "TorusShape.r_c": lambda v: TorusShape(2.0, v),
+    "FieldConfiguration.e_o": lambda v: twirled_field(KIND_PHOTON, v, RING),
+    **{f"WavePacket.{n}": _replacing(PACKET.replace, {}, n) for n in WavePacket.init_fields},
+    "QuadratureSpec.panels": lambda v: QuadratureSpec(panels=v),
+    **{f"invariant_constants.{n}": _replacing(invariant_constants, _RATIOS, n)
+       for n in _RATIOS},
+    "uncertainty_min_length.energy": lambda v: uncertainty_min_length(v, K),
+    "dispersion_omega.k_wave": lambda v: dispersion_omega(v, 0.0, K),
+    "dispersion_omega.mass": lambda v: dispersion_omega(1.0, v, K),
+    **{f"magnetic_moment.{n}": _replacing(magnetic_moment, _MOMENT, n) for n in _MOMENT},
+    "normal_rate.v": lambda v: normal_rate(RING, v, 0.0),
+    "semi_photon_model.zeta": lambda v: semi_photon_model(v, K),
+    "vacuum_polarization.alpha_bare": lambda v: vacuum_polarization(v, K),
+    "boost_packet.beta": lambda v: boost_packet(PACKET, v),
+    "total_charge.zeta": lambda v: total_charge(SEMI, v, QuadratureSpec(panels=2)),
+    "sample_grid.n": lambda v: sample_grid(SEMI, v),
+}
+# the CLI's ranged options, each parsed by cli._ranged
+RANGED_OPTIONS = {
+    "--zeta": "semiphoton", "--beta-grid": "invariants", "--amplitude": "fields",
+    "--samples": "fields", "--panels": "consistency",
+}
+NOT_A_NUMBER = st.one_of(st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@pytest.mark.parametrize("site", sorted(NUMBER_PARAMETERS) + sorted(RANGED_OPTIONS))
+@given(value=NOT_A_NUMBER)
+@example(value=True)
+@example(value=False)
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+def test_every_numeric_parameter_refuses_a_bool_nan_and_infinity(site, value):
+    if site in RANGED_OPTIONS:
+        with pytest.raises(SystemExit) as usage_error:
+            parse_args([RANGED_OPTIONS[site], f"{site}={value}"])
+        assert usage_error.value.code == 2
+    else:
+        with pytest.raises(DomainError):
+            NUMBER_PARAMETERS[site](value)

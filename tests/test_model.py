@@ -188,6 +188,14 @@ def test_thomas_factor_doubles_moment():
     assert magnetic_moment(K.e, m.r_s, m.omega_s, K.c, thomas=True) == 2.0 * mu
 
 
+@pytest.mark.parametrize("thomas", ["no", 1, 0, None, 1.0])
+def test_thomas_flag_must_be_a_bool(thomas):
+    # a truthy "no", like 1, would double the moment
+    m = semi_photon_model(1.0, K)
+    with pytest.raises(DomainError, match="thomas must be a bool"):
+        magnetic_moment(K.e, m.r_s, m.omega_s, K.c, thomas=thomas)
+
+
 def test_moment_linear_in_charge_and_free_of_zeta():
     thick = semi_photon_model(1.0, K)
     thin = semi_photon_model(0.3, K)
