@@ -16,16 +16,15 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _EXPORTS = {
-    "constants": ("ElectronScales", "PhysicalConstants", "codata_constants",
-                  "electron_scales"),
+    "constants": ("PhysicalConstants", "codata_constants", "electron_scales"),
     "errors": ("DomainError", "EvaluationError", "RingwaveError"),
     "fields": ("KIND_PHOTON", "KIND_SEMI_MINUS", "KIND_SEMI_PLUS",
                "FieldConfiguration", "charge_density", "displacement_current",
                "energy_density", "field_at", "mass_density", "sample_grid",
                "twirled_field"),
-    "geometry": ("FrenetFrame", "RingGeometry", "TorusShape", "frenet_at",
-                 "normal_rate", "ring_from_radius"),
-    "lorentz": ("BoostReport", "WavePacket", "boost_packet", "boost_plane_fields"),
+    "geometry": ("RingGeometry", "TorusShape", "frenet_at", "normal_rate",
+                 "ring_from_radius"),
+    "lorentz": ("WavePacket", "boost_packet", "boost_plane_fields"),
     "model": ("PhotonModel", "SemiPhotonModel", "dispersion_omega",
               "invariant_constants", "magnetic_moment", "pair_threshold_photon",
               "semi_photon_model", "uncertainty_min_length"),

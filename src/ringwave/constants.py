@@ -48,24 +48,12 @@ class PhysicalConstants(_Record):
             _require_number(getattr(self, name), f"constant {name}")
 
 
-class ElectronScales(_Record):
-    """Characteristic electron lengths (cm).
-
-    r_0 : classical electron radius, e^2 / (m_e c^2)
-    lambda_bar_c : reduced Compton wavelength, hbar / (m_e c)
-    """
-
-    r_0: float
-    lambda_bar_c: float
-
-
 def codata_constants() -> PhysicalConstants:
     """Return the CODATA 2018 constants in Gaussian CGS units."""
     return PhysicalConstants(C_LIGHT, HBAR, H_PLANCK, E_CHARGE, M_ELECTRON, ALPHA_EXP)
 
 
-def electron_scales(k: PhysicalConstants) -> ElectronScales:
-    """Derive the classical radius and reduced Compton wavelength from k."""
-    lam = k.hbar / (k.m_e * k.c)
-    r_0 = k.e * k.e / (k.m_e * k.c * k.c)
-    return ElectronScales(r_0=r_0, lambda_bar_c=lam)
+def electron_scales(k: PhysicalConstants) -> tuple[float, float]:
+    """(r_0, lambda_bar_c) in cm from k: the classical electron radius
+    e^2 / (m_e c^2) and the reduced Compton wavelength hbar / (m_e c)."""
+    return k.e * k.e / (k.m_e * k.c * k.c), k.hbar / (k.m_e * k.c)

@@ -1,5 +1,5 @@
-"""Exception types, the number check behind every validator and the CLI's
-ranged options, the frozen-record base and the 3-vector type of the package."""
+"""Exception types, the number and count checks behind every validator and the
+CLI's ranged options, the frozen-record base and the 3-vector type of the package."""
 
 from __future__ import annotations
 
@@ -32,6 +32,14 @@ def _require_number(value, name: str, lo: float = 0.0, hi: float = math.inf,
         pass
     text = f"must be a finite number in {bounds[0]}{lo}, {hi}{bounds[1]}, got {value!r}"
     raise DomainError(f"{name} {text}" if name else text)
+
+
+def _require_count(value, name: str, lo: int) -> None:
+    """The count check: DomainError unless value is an int, not a bool (the
+    number check alone takes 2.0), then the number check for lo <= value."""
+    if type(value) is not int:
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    _require_number(value, name, lo, math.inf, "[)")
 
 
 _Vec3 = tuple[float, float, float]  # every 3-vector the package returns

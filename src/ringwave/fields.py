@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import _DERIVED, DomainError, _Record, _require_number, _Vec3
+from .errors import _DERIVED, DomainError, _Record, _require_count, _require_number, _Vec3
 from .geometry import RingGeometry, _outward
 
 # the kinds are also the CLI's `fields --kind` values
@@ -132,7 +132,7 @@ def _point(cfg: FieldConfiguration, l: float) -> tuple[float, ...]:
 def _grid(cfg: FieldConfiguration, n: int) -> list[float]:
     """n equally spaced arc lengths over the support, endpoints inclusive:
     linspace(lo, hi, n) bit for bit (i*step + lo, the last point hi)."""
-    _require_number(n, "sample count", 2, math.inf, "[)")
+    _require_count(n, "sample count", 2)
     lo, hi = cfg.support
     step = (hi - lo) / (n - 1)
     return [i * step + lo for i in range(n - 1)] + [hi]

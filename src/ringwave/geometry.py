@@ -43,14 +43,6 @@ class RingGeometry(_Record):
             object.__setattr__(self, name, value)
 
 
-class FrenetFrame(_Record):
-    """Right-handed moving frame at a point of the ring."""
-
-    position: _Vec3
-    tangent: _Vec3
-    normal: _Vec3
-
-
 class TorusShape(_Record):
     """Torus with ring radius r_s and cross-section radius r_c.
 
@@ -86,13 +78,11 @@ def _outward(ring: RingGeometry, l: float) -> tuple[float, float]:
     return math.cos(phi), math.sin(phi)
 
 
-def frenet_at(ring: RingGeometry, l: float) -> FrenetFrame:
-    """Position, unit tangent and centripetal unit normal at arc length l.
-
-    Periodic in l with period equal to the circumference.
-    """
+def frenet_at(ring: RingGeometry, l: float) -> tuple[_Vec3, _Vec3, _Vec3]:
+    """(position, unit tangent, centripetal unit normal) at arc length l: the
+    right-handed moving frame, periodic in l with the circumference as period."""
     cp, sp = _outward(ring, l)
-    return FrenetFrame((ring.r_k * cp, ring.r_k * sp, 0.0), (-sp, cp, 0.0), (-cp, -sp, 0.0))
+    return (ring.r_k * cp, ring.r_k * sp, 0.0), (-sp, cp, 0.0), (-cp, -sp, 0.0)
 
 
 def normal_rate(ring: RingGeometry, v: float, l: float) -> _Vec3:
@@ -104,4 +94,4 @@ def normal_rate(ring: RingGeometry, v: float, l: float) -> _Vec3:
     _require_number(v, "speed", 0.0, math.inf, "[)")
     if not math.isfinite(v * ring.K):
         raise DomainError(f"normal rate v K overflows at speed {v}")
-    return tuple(-v * ring.K * t for t in frenet_at(ring, l).tangent)
+    return tuple(-v * ring.K * t for t in frenet_at(ring, l)[1])

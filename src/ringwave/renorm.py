@@ -44,10 +44,10 @@ def vacuum_polarization(alpha_bare: float, k: PhysicalConstants) -> VacuumPolari
     """
     _require_number(alpha_bare, "bare coupling", k.alpha_exp)
     eps_v = alpha_bare / k.alpha_exp
-    scales = electron_scales(k)
+    r_0, _ = electron_scales(k)
     return VacuumPolarization(
         eps_v=eps_v, alpha_bare=alpha_bare, alpha_exp=k.alpha_exp,
         q_bare=k.e * math.sqrt(eps_v), q_exp=k.e,
-        r_bare=scales.r_0 / k.alpha_exp, r_0=scales.r_0,
+        r_bare=r_0 / k.alpha_exp, r_0=r_0,
     )
 

@@ -37,12 +37,12 @@ def test_constants_must_be_positive():
 
 
 def test_electron_scales_against_recomputed_values():
-    s = electron_scales(K)
+    r_0, lambda_bar_c = electron_scales(K)
     # hbar/(m_e c) and e^2/(m_e c^2) evaluated independently
-    assert abs(s.lambda_bar_c / 3.861592679608906e-11 - 1.0) < 1e-12
-    assert abs(s.r_0 / 2.8179403246707885e-13 - 1.0) < 1e-12
+    assert abs(lambda_bar_c / 3.861592679608906e-11 - 1.0) < 1e-12
+    assert abs(r_0 / 2.8179403246707885e-13 - 1.0) < 1e-12
 
 
 def test_classical_radius_is_alpha_times_compton():
-    s = electron_scales(K)
-    assert abs(s.r_0 / (K.alpha_exp * s.lambda_bar_c) - 1.0) < 1e-9
+    r_0, lambda_bar_c = electron_scales(K)
+    assert abs(r_0 / (K.alpha_exp * lambda_bar_c) - 1.0) < 1e-9

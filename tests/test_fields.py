@@ -37,8 +37,8 @@ def _cfg(kind):
 def _current_vectors(cfg, l):
     # j_n along the centripetal normal and j_tau along the tangent of frenet_at
     jn, jtau = displacement_current(cfg, l)
-    frame = frenet_at(cfg.geometry, l)
-    return np.multiply(jn, frame.normal), np.multiply(jtau, frame.tangent)
+    _, tangent, normal = frenet_at(cfg.geometry, l)
+    return np.multiply(jn, normal), np.multiply(jtau, tangent)
 
 
 def test_twirled_configuration_invariants():
@@ -114,7 +114,7 @@ def test_poynting_direction_along_travel():
         if np.linalg.norm(E) < 1e-6 * AMP:
             continue
         poynting = np.cross(E, H)
-        tangent = frenet_at(RING, l).tangent
+        _, tangent, _ = frenet_at(RING, l)
         assert np.dot(poynting, tangent) > 0.0
 
 
@@ -273,8 +273,9 @@ def test_sample_grid_spacing_and_balance():
     for l, E, H in sample_grid(cfg, 33):
         assert field_at(cfg, l) == (E, H)
         assert abs(np.linalg.norm(E) - np.linalg.norm(H)) <= 1e-12 * AMP
-    with pytest.raises(DomainError):
-        sample_grid(cfg, 1)
+    for n in (1, 2.0, 2.5):  # a whole float is not a count either
+        with pytest.raises(DomainError):
+            sample_grid(cfg, n)
 
 
 def test_closed_form_h_matches_cross_product_definition():
@@ -283,9 +284,9 @@ def test_closed_form_h_matches_cross_product_definition():
         cfg = _cfg(kind)
         for l in np.linspace(-0.3, 1.3, 97) * LAM:
             _, H = field_at(cfg, float(l))
-            frame = frenet_at(RING, float(l))
+            _, tangent, normal = frenet_at(RING, float(l))
             a = amplitude_at(cfg, float(l))
-            reference = a * np.cross(frame.tangent, np.negative(frame.normal))
+            reference = a * np.cross(tangent, np.negative(normal))
             tol = 4.0 * math.ulp(abs(a))
             assert np.max(np.abs(np.subtract(H, reference))) <= tol, (kind, l)
 
@@ -300,7 +301,7 @@ def test_vector_api_wraps_the_scalar_kernel():
             x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
             E, H = field_at(cfg, l)
             current = displacement_current(cfg, l)
-            position = frenet_at(RING, l).position
+            position, _, _ = frenet_at(RING, l)
             assert E == (ex, ey, 0.0), (kind, l)
             assert H == (0.0, 0.0, hz), (kind, l)
             assert current == (jn, jtau), (kind, l)

@@ -68,7 +68,7 @@ cfg = twirled_field(KIND_SEMI_PLUS, 1.0, ring)
 frame, (e, h) = frenet_at(ring, 0.3), field_at(cfg, 0.3)
 floats = lambda v, n: type(v) is tuple and len(v) == n and all(type(c) is float for c in v)
 returned = {
-    "frenet_at": all(floats(v, 3) for v in (frame.position, frame.tangent, frame.normal)),
+    "frenet_at": type(frame) is tuple and len(frame) == 3 and all(floats(v, 3) for v in frame),
     "normal_rate": floats(normal_rate(ring, 3.0, 0.3), 3),
     "field_at": floats(e, 3) and floats(h, 3),
     "sample_grid": all(type(l) is float and floats(el, 3) and floats(hl, 3)
