@@ -169,25 +169,37 @@ def test_defaults_are_class_attributes():
         TorusShape(2.0)  # r_c has no default
 
 
-def test_tuples_hold_what_the_records_they_replace_held():
-    # tests/golden/deleted_records.json holds the fields of FrenetFrame,
-    # ElectronScales and BoostReport, written by the last version that
-    # returned those records; the tuples must equal them field by field
-    held = json.loads(pathlib.Path(__file__).with_name("golden")
-                      .joinpath("deleted_records.json").read_text(encoding="utf-8"))
-    for frame in held["frenet_at"]:
+# tests/golden/deleted_records.json holds the fields of FrenetFrame,
+# ElectronScales and BoostReport, written by the last version that returned
+# those records; one test per deleted record checks that the tuple now
+# returned in its place equals them field by field
+def _held(function):
+    return json.loads(pathlib.Path(__file__).with_name("golden")
+                      .joinpath("deleted_records.json")
+                      .read_text(encoding="utf-8"))[function]
+
+
+def test_frenet_at_tuple_holds_what_frenet_frame_held():
+    for frame in _held("frenet_at"):
         ring = ring_from_radius(frame["r_k"], K.c)
         position, tangent, normal = frenet_at(ring, frame["l"])
         assert position == tuple(frame["position"]), frame
         assert tangent == tuple(frame["tangent"]), frame
         assert normal == tuple(frame["normal"]), frame
+
+
+def test_electron_scales_tuple_holds_what_electron_scales_record_held():
+    held = _held("electron_scales")
     r_0, lambda_bar_c = electron_scales(K)
-    assert r_0 == held["electron_scales"]["r_0"]
-    assert lambda_bar_c == held["electron_scales"]["lambda_bar_c"]
+    assert r_0 == held["r_0"]
+    assert lambda_bar_c == held["lambda_bar_c"]
+
+
+def test_boost_packet_tuple_holds_what_boost_report_held():
     photon = pair_threshold_photon(K)
     packet = WavePacket(semi_photon_model(1.0, K).e_o, photon.omega_p, photon.energy,
                         photon.volume)
-    for boost in held["boost_packet"]:
+    for boost in _held("boost_packet"):
         primed, invariants, drift = boost_packet(packet, boost["beta"])
         assert primed.asdict() == boost["primed"], boost
         assert invariants == tuple(boost["invariants"]), boost
