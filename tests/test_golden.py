@@ -40,6 +40,14 @@ CASES = [
     ("consistency.jacobian16",
      ["consistency", "--toroidal-jacobian", "--panels", "16"], 0),
     ("invariants.grid5", ["invariants", "--beta-grid=-0.99,-0.5,0,0.5,0.99"], 0),
+    # JSON beyond the defaults: a null record, -0.0, 1e-300 and 17-digit
+    # floats, a section factor of 0.5 beside a null factor
+    ("semiphoton.zeta0.05.json", ["semiphoton", "--zeta", "0.05", "--format", "json"], 0),
+    ("invariants.edge.json",
+     ["invariants", "--beta-grid=-0,1e-300,0.5,-0.999999", "--format", "json"], 0),
+    ("consistency.jacobian1.json",
+     ["consistency", "--toroidal-jacobian", "--rule", "midpoint", "--panels", "1",
+      "--format", "json"], 0),
     *((f"fields.{kind}33", ["fields", "--samples", "33", "--kind", kind], 0)
       for kind in ("photon", "semiplus", "semiminus")),
     ("fields.amp12.5", ["fields", "--samples", "33", "--amplitude", "12.5"], 0),
