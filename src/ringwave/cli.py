@@ -14,9 +14,9 @@ Exit codes: 0 success, 1 a physics check failed, 2 usage error,
 invocation: human tables carry 6 significant digits, CSV 17, JSON
 full-precision floats.
 
-Each _cmd_* imports the modules it runs when it runs, and json loads
-only for --format json, so a short command does not pay start-up time
-for the others (tests/test_lazy_import.py pins the modules per command).
+Each _cmd_* imports the modules it runs when it runs, and no command
+imports json, so a short command does not pay start-up time for the
+others (tests/test_lazy_import.py pins the modules per command).
 Likewise the parser is built for the chosen subcommand only: the others
 are registered with their help, but no parser is built for them.  Each
 option's default lives in that parser, which reads the field kinds and
@@ -56,12 +56,46 @@ def _table(rows: list[tuple[str, str, str]]) -> str:
 
 
 def _json_text(obj) -> str:
-    import json
+    """json.dumps(obj, indent=2, allow_nan=False) and a newline, written in one
+    pass: with indent set, json runs its pure-Python encoder.  Unlike json's,
+    each key must be a str; json is imported only for a string that is not
+    printable ASCII free of '"' and '\\'."""
+    return _json(obj, "\n") + "\n"
 
-    try:
-        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # a NaN or infinity has no JSON spelling
-        raise EvaluationError(f"cannot write JSON: {exc}") from None
+
+def _plain(text: str) -> bool:
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _json(obj, nl: str) -> str:
+    """obj as JSON; nl opens each of its nested lines (a newline and the indent)."""
+    inner = nl + "  "
+    if not obj and isinstance(obj, (dict, list, tuple)):
+        return "{}" if isinstance(obj, dict) else "[]"
+    if isinstance(obj, dict):  # one check for all the keys, a float value inline
+        keys = obj if _plain("".join(obj)) else [_json(key, nl)[1:-1] for key in obj]
+        return "{" + inner + f",{inner}".join([
+            f'"{key}": {value!r}' if type(value) is float and math.isfinite(value)
+            else f'"{key}": {_json(value, inner)}'
+            for key, value in zip(keys, obj.values())]) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + inner + f",{inner}".join([_json(v, inner) for v in obj]) + nl + "]"
+    if isinstance(obj, str):
+        if _plain(obj):
+            return f'"{obj}"'
+        import json
+
+        return json.dumps(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):  # a NaN or infinity has no JSON spelling
+            raise EvaluationError("cannot write JSON: Out of range float values"
+                                  f" are not JSON compliant: {float.__repr__(obj)}")
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _ranged(kind: type, lo: float, hi: float, bounds: str) -> Callable[[str], float]:

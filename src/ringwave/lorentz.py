@@ -9,7 +9,7 @@ boost-invariant count of wavelengths in the packet.  Only c1 is an
 independent check: HBAR and C_LIGHT cancel in the energy and volume
 routes, so c2 and c3 keep their unboosted values by algebra, up to
 rounding.  Open item 4 of ROADMAP.md plans routes of their own for them,
-and a gate that holds closer than ~1e-8 to |beta| = 1, where it fails.
+and a gate that holds closer than ~1e-8 to beta = +1, where it fails.
 
 A packet travels along +x, E along +y and H along +z, and is boosted
 along x: positive beta means the new frame recedes from the wave

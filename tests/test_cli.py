@@ -485,6 +485,18 @@ def test_invariants_gate_fails_on_nan_deviation(capsys, monkeypatch):
     assert json.loads(out)["max_deviation"] is None  # valid JSON, no bare NaN
 
 
+@pytest.mark.parametrize("beta", [
+    pytest.param("0.999999999", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 4")),
+    "-0.999999999",
+])
+def test_invariants_gate_passes_within_1e_9_of_light_speed(capsys, beta):
+    # at beta -> 1, E' = gamma (E - beta E) cancels, and c1 drifts by
+    # ~eps/(1 - beta): 6.4e-8 here; beta -> -1 adds, and drifts 2.5e-10
+    code, out, _ = run_cli(capsys, ["invariants", f"--beta-grid={beta}", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["max_deviation"] <= 1e-9
+
+
 def test_fields_amplitude_overflow_exits_1(capsys):
     # finite amplitudes whose E_o omega overflows: jn would print nan, jtau inf
     for amp in ("1.2e288", "1e300"):

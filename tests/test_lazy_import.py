@@ -1,5 +1,5 @@
-"""Each subcommand imports only the modules it runs; numpy, dataclasses
-and inspect never.  The vector API returns float 3-tuples without numpy.
+"""Each subcommand imports only the modules it runs; numpy, dataclasses,
+inspect and json never.  The vector API returns float 3-tuples without numpy.
 
 The probes run in fresh interpreters, because sys.modules only grows.
 """
@@ -164,11 +164,13 @@ def test_top_level_help_and_usage_errors_build_no_subcommand_parser(argv):
     assert tuple(modules) == BASE
 
 
-def test_json_is_loaded_for_json_output_only():
-    code, json_loaded, *modules = _run(MODULES_PROBE, "constants",
-                                       "--format", "json").split()
-    assert (code, json_loaded) == ("0", "True")
-    assert tuple(modules) == BASE
+@pytest.mark.parametrize("command", sorted(set(MODULES_PER_COMMAND) - {"fields"}))
+def test_json_output_never_imports_json(command):
+    # cli._json_text writes JSON itself; with the table and CSV formats
+    # checked above, no command imports json in either format
+    code, json_loaded, *modules = _run(MODULES_PROBE, command, "--format", "json").split()
+    assert (code, json_loaded) == ("0", "False")
+    assert tuple(modules) == tuple(sorted(MODULES_PER_COMMAND[command]))
 
 
 def test_import_ringwave_loads_no_submodule():
