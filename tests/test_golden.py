@@ -48,6 +48,14 @@ CASES = [
     ("consistency.jacobian1.json",
      ["consistency", "--toroidal-jacobian", "--rule", "midpoint", "--panels", "1",
       "--format", "json"], 0),
+    # 17-digit semi_photon_mass away from the defaults: a thin torus, a
+    # midpoint rule, odd panel counts, a Jacobian on three panels
+    ("consistency.zeta0.5.midpoint7.json",
+     ["consistency", "--zeta", "0.5", "--rule", "midpoint", "--panels", "7",
+      "--format", "json"], 0),
+    ("consistency.zeta0.001.jacobian3.json",
+     ["consistency", "--zeta", "0.001", "--toroidal-jacobian", "--panels", "3",
+      "--format", "json"], 0),
     *((f"fields.{kind}33", ["fields", "--samples", "33", "--kind", kind], 0)
       for kind in ("photon", "semiplus", "semiminus")),
     ("fields.amp12.5", ["fields", "--samples", "33", "--amplitude", "12.5"], 0),
