@@ -20,8 +20,7 @@ _EXPORTS = {
     "errors": ("DomainError", "EvaluationError", "RingwaveError"),
     "fields": ("KIND_PHOTON", "KIND_SEMI_MINUS", "KIND_SEMI_PLUS",
                "FieldConfiguration", "charge_density", "displacement_current",
-               "energy_density", "field_at", "mass_density", "sample_grid",
-               "twirled_field"),
+               "field_at", "mass_density", "sample_grid", "twirled_field"),
     "geometry": ("RingGeometry", "TorusShape", "frenet_at", "normal_rate",
                  "ring_from_radius"),
     "lorentz": ("WavePacket", "boost_packet", "boost_plane_fields"),

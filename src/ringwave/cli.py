@@ -152,12 +152,11 @@ def _subparser(chosen: str | None, **kwargs) -> argparse.ArgumentParser | None:
         p.add_argument("--out", help="write CSV to this path instead of stdout")
         return p
     elif chosen == "consistency":
-        from .quadrature import RULE_GAUSS5, RULE_MIDPOINT, QuadratureSpec
+        from .quadrature import RULES, QuadratureSpec
 
         p.add_argument("--panels", type=_ranged(int, 1, math.inf, "[)"),
                        default=QuadratureSpec.panels)
-        p.add_argument("--rule", choices=(RULE_GAUSS5, RULE_MIDPOINT),
-                       default=QuadratureSpec.rule)
+        p.add_argument("--rule", choices=RULES, default=QuadratureSpec.rule)
         p.add_argument("--toroidal-jacobian", action="store_true",
                        dest="include_toroidal_jacobian",
                        help="integrate the exact torus volume element")
@@ -323,11 +322,11 @@ def _cmd_invariants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str
 def _cmd_fields(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
     from .fields import _grid, _point, twirled_field
     from .geometry import ring_from_radius
-    from .model import pair_threshold_photon, semi_photon_model
+    from .model import semi_photon_model
 
-    photon = pair_threshold_photon(k)
-    ring = ring_from_radius(photon.r_p, k.c)
-    amp = semi_photon_model(1.0, k).e_o if args.amplitude is None else args.amplitude
+    model = semi_photon_model(1.0, k)
+    ring = ring_from_radius(model.r_s, k.c)
+    amp = model.e_o if args.amplitude is None else args.amplitude
     cfg = twirled_field(args.kind, amp, ring)
     lines = ["l,x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jn,jtau"]
     for l in _grid(cfg, args.samples):

@@ -7,8 +7,8 @@ vector along -z, the ring axis, both modulated by the same cos(k l)
 envelope fixed to the ring.  The "semi photon" kinds carry the same
 envelope on half of the ring only and model the electron (plus) and
 positron (minus); the minus kind is the pointwise negation of the
-plus kind.  The charge, energy and mass densities are closed-form
-scalars of arc length.
+plus kind.  The charge and mass densities are closed-form scalars of
+arc length.
 
 Time derivatives are taken along the material point circulating at
 the wave speed through the static envelope: for a quantity Q(l)
@@ -179,16 +179,12 @@ def charge_density(cfg: FieldConfiguration, l: float) -> float:
     return cfg.geometry.K / (4.0 * math.pi) * amplitude_at(cfg, l)
 
 
-def energy_density(cfg: FieldConfiguration, l: float) -> float:
-    """Energy density (E^2 + H^2)/8pi = a(l)^2/4pi, as |E| = |H| = |a(l)|;
-    refuses an amplitude E_o that FieldConfiguration takes but whose square overflows."""
+def mass_density(cfg: FieldConfiguration, l: float) -> float:
+    """Mass density rho_eps(l)/c^2 = a(l)^2/4pi/c^2 at the ring's wave speed c:
+    the energy density (E^2 + H^2)/8pi is a(l)^2/4pi, as |E| = |H| = |a(l)|.
+    Refuses an amplitude E_o that FieldConfiguration takes but whose square overflows."""
     if cfg.e_o > _E_O_SQUARE_MAX:
         raise DomainError(f"energy density overflows at amplitude {cfg.e_o:g}")
     a = amplitude_at(cfg, l)
-    return a * a / (4.0 * math.pi)
-
-
-def mass_density(cfg: FieldConfiguration, l: float) -> float:
-    """Mass density rho_eps(l)/c^2 at the ring's wave speed c."""
     c = cfg.geometry.c
-    return energy_density(cfg, l) / (c * c)
+    return a * a / (4.0 * math.pi) / (c * c)

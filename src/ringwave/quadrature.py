@@ -24,6 +24,7 @@ from .geometry import TorusShape
 
 RULE_GAUSS5 = "gauss_legendre_5"
 RULE_MIDPOINT = "midpoint"
+RULES = (RULE_GAUSS5, RULE_MIDPOINT)  # also the CLI's `consistency --rule` values
 
 # 5-point Gauss-Legendre nodes and weights on [-1, 1], ascending; exact
 # through polynomial degree 9 per panel.  Closed forms (Abramowitz &
@@ -64,7 +65,7 @@ class QuadratureSpec(_Record):
 
     def __post_init__(self) -> None:
         _require_count(self.panels, "panel count", 1)
-        if self.rule not in (RULE_GAUSS5, RULE_MIDPOINT):
+        if self.rule not in RULES:
             raise DomainError(f"unknown quadrature rule {self.rule!r}")
         if type(self.include_toroidal_jacobian) is not bool:
             raise DomainError(f"include_toroidal_jacobian must be a bool, "
@@ -148,25 +149,6 @@ def section_measure(shape: TorusShape, spec: QuadratureSpec) -> float:
     return integrate_line(over_theta, 0.0, shape.r_c, spec)
 
 
-def _lobe_integral(
-    cfg: FieldConfiguration,
-    density: Callable[[float], float],
-    spec: QuadratureSpec,
-) -> float:
-    """Line integral of a density over the configured support.
-
-    The photon support is the full period.  The semi-photon support
-    [0, lambda/2] stands for the symmetric lobe centred on the field
-    crest, so it is integrated as twice the quarter wave next to the
-    crest (the naive [0, lambda/2] integral of the signed density
-    would vanish by odd symmetry about lambda/4 and say nothing).
-    """
-    lo, hi = cfg.support
-    if cfg.kind == KIND_PHOTON:
-        return integrate_line(density, lo, hi, spec)
-    return 2.0 * integrate_line(density, lo, 0.5 * (lo + hi), spec)
-
-
 def _integral_report(
     cfg: FieldConfiguration,
     zeta: float,
@@ -175,14 +157,26 @@ def _integral_report(
     closed_form: Callable[[float], float],
 ) -> IntegralReport:
     """Section measure x line integral of density over the torus of
-    thinness zeta on the wave's ring, next to closed_form(pi r_c^2)."""
+    thinness zeta on the wave's ring, next to closed_form(pi r_c^2).
+
+    The line integral runs over the configured support.  The photon
+    support is the full period.  The semi-photon support [0, lambda/2]
+    stands for the symmetric lobe centred on the field crest, so it is
+    integrated as twice the quarter wave next to the crest (the naive
+    [0, lambda/2] integral of the signed density would vanish by odd
+    symmetry about lambda/4 and say nothing).
+    """
     _require_number(zeta, "zeta", 0.0, 1.0, "(]")
     r_k = cfg.geometry.r_k
     shape = TorusShape(r_k, zeta * r_k)
     s_flat = shape.section_area
     s_used = section_measure(shape, spec)
-    value = s_used * _lobe_integral(cfg, density, spec)
-    return IntegralReport(value, closed_form(s_flat), s_used / s_flat)
+    lo, hi = cfg.support
+    if cfg.kind == KIND_PHOTON:
+        line = integrate_line(density, lo, hi, spec)
+    else:
+        line = 2.0 * integrate_line(density, lo, 0.5 * (lo + hi), spec)
+    return IntegralReport(s_used * line, closed_form(s_flat), s_used / s_flat)
 
 
 def total_charge(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> IntegralReport:

@@ -29,7 +29,6 @@ from ringwave import (
     codata_constants,
     dispersion_omega,
     displacement_current,
-    energy_density,
     field_at,
     frenet_at,
     integrate_line,
@@ -61,7 +60,6 @@ SEMI = twirled_field(KIND_SEMI_PLUS, 1.0, RING)  # has points off its support
 ARC_LENGTH_FUNCTIONS = {
     "amplitude_at": lambda l: amplitude_at(SEMI, l),
     "charge_density": lambda l: charge_density(SEMI, l),
-    "energy_density": lambda l: energy_density(SEMI, l),
     "mass_density": lambda l: mass_density(SEMI, l),
     "frenet_at": lambda l: frenet_at(RING, l),
     "normal_rate": lambda l: normal_rate(RING, 1.0, l),
