@@ -56,6 +56,10 @@ CASES = [
     ("consistency.zeta0.001.jacobian3.json",
      ["consistency", "--zeta", "0.001", "--toroidal-jacobian", "--panels", "3",
       "--format", "json"], 0),
+    # a midpoint Jacobian past one panel off the horn torus
+    ("consistency.zeta0.5.jacobian.midpoint5.json",
+     ["consistency", "--zeta", "0.5", "--toroidal-jacobian", "--rule", "midpoint",
+      "--panels", "5", "--format", "json"], 0),
     *((f"fields.{kind}33", ["fields", "--samples", "33", "--kind", kind], 0)
       for kind in ("photon", "semiplus", "semiminus")),
     ("fields.amp12.5", ["fields", "--samples", "33", "--amplitude", "12.5"], 0),
