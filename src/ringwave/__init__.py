@@ -28,8 +28,8 @@ _EXPORTS = {
               "invariant_constants", "magnetic_moment", "pair_threshold_photon",
               "semi_photon_model", "uncertainty_min_length"),
     "quadrature": ("RULE_GAUSS5", "RULE_MIDPOINT", "IntegralReport",
-                   "QuadratureSpec", "integrate_line", "section_measure",
-                   "total_charge", "total_mass"),
+                   "QuadratureSpec", "consistency_reports", "integrate_line",
+                   "section_measure", "total_charge", "total_mass"),
     "renorm": ("VacuumPolarization", "vacuum_polarization"),
 }
 

@@ -337,22 +337,10 @@ def _cmd_fields(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, in
 
 
 def _cmd_consistency(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
-    from .fields import KIND_PHOTON, KIND_SEMI_PLUS, twirled_field
-    from .geometry import ring_from_radius
-    from .model import semi_photon_model
-    from .quadrature import QuadratureSpec, total_charge, total_mass
+    from .quadrature import QuadratureSpec, consistency_reports
 
-    zeta = args.zeta
     spec = QuadratureSpec(args.panels, args.rule, args.include_toroidal_jacobian)
-    model = semi_photon_model(zeta, k)
-    ring = ring_from_radius(model.r_s, k.c)
-    photon_cfg = twirled_field(KIND_PHOTON, model.e_o, ring)
-    semi_cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
-    reports = {
-        "photon_charge": total_charge(photon_cfg, zeta, spec),
-        "semi_photon_charge": total_charge(semi_cfg, zeta, spec),
-        "semi_photon_mass": total_mass(semi_cfg, zeta, spec),
-    }
+    reports = consistency_reports(args.zeta, spec, k)
 
     if args.format == "json":
         return _json_text({name: r.asdict() for name, r in reports.items()}), 0

@@ -4,7 +4,9 @@ Every volume integral of the model factorizes into (cross-section
 measure) x (line integral along the ring), because the densities
 depend on arc length only.  The cross-section measure is S_c = pi
 r_c^2 by default; the exact toroidal volume element can be switched
-on to quantify how little it matters.
+on to quantify how little it matters.  total_charge and total_mass
+each compute the measure; consistency_reports computes it once for
+its three reports.
 
 Where the as-integrated value and the stated closed form disagree by
 a constant factor, both are reported and the closed form stays
@@ -19,8 +21,11 @@ from typing import Callable
 
 from .errors import (_DERIVED, DomainError, EvaluationError, _Record, _require_count,
                      _require_number)
-from .fields import KIND_PHOTON, FieldConfiguration, charge_density, mass_density
-from .geometry import TorusShape
+from .constants import PhysicalConstants
+from .fields import (KIND_PHOTON, KIND_SEMI_PLUS, FieldConfiguration, charge_density,
+                     mass_density, twirled_field)
+from .geometry import TorusShape, ring_from_radius
+from .model import semi_photon_model
 
 RULE_GAUSS5 = "gauss_legendre_5"
 RULE_MIDPOINT = "midpoint"
@@ -130,7 +135,8 @@ def integrate_line(
 
 
 def section_measure(shape: TorusShape, spec: QuadratureSpec) -> float:
-    """Cross-section measure used to factorize volume integrals.
+    """Cross-section measure used to factorize volume integrals, computed
+    once per total_charge, total_mass or consistency_reports call.
 
     Flat measure: S_c = pi r_c^2.  With the toroidal volume element the
     measure is the section integral of (1 + (rho/r_s) cos theta) rho
@@ -149,15 +155,18 @@ def section_measure(shape: TorusShape, spec: QuadratureSpec) -> float:
     return integrate_line(over_theta, 0.0, shape.r_c, spec)
 
 
-def _integral_report(
-    cfg: FieldConfiguration,
-    zeta: float,
-    spec: QuadratureSpec,
-    density: Callable[[float], float],
-    closed_form: Callable[[float], float],
-) -> IntegralReport:
-    """Section measure x line integral of density over the torus of
-    thinness zeta on the wave's ring, next to closed_form(pi r_c^2).
+def _section(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> tuple[float, float]:
+    """(measure used, pi r_c^2) of the torus of thinness zeta on the wave's ring."""
+    _require_number(zeta, "zeta", 0.0, 1.0, "(]")
+    r_k = cfg.geometry.r_k
+    shape = TorusShape(r_k, zeta * r_k)
+    return section_measure(shape, spec), shape.section_area
+
+
+def _integral_report(cfg: FieldConfiguration, section: tuple[float, float],
+                     spec: QuadratureSpec, mass: bool = False) -> IntegralReport:
+    """s_used x line integral of the charge density (of the mass density if
+    mass is set), next to its closed form at s_flat; section = (s_used, s_flat).
 
     The line integral runs over the configured support.  The photon
     support is the full period.  The semi-photon support [0, lambda/2]
@@ -166,17 +175,20 @@ def _integral_report(
     [0, lambda/2] integral of the signed density would vanish by odd
     symmetry about lambda/4 and say nothing).
     """
-    _require_number(zeta, "zeta", 0.0, 1.0, "(]")
-    r_k = cfg.geometry.r_k
-    shape = TorusShape(r_k, zeta * r_k)
-    s_flat = shape.section_area
-    s_used = section_measure(shape, spec)
+    s_used, s_flat = section
+    if mass:
+        density = lambda l: mass_density(cfg, l)
+        closed_form = cfg.e_o * cfg.e_o * s_flat / (4.0 * cfg.geometry.omega_K * cfg.geometry.c)
+    else:
+        density = lambda l: charge_density(cfg, l)
+        sign = 0.0 if cfg.kind == KIND_PHOTON else cfg.sign
+        closed_form = sign * cfg.e_o * s_flat / math.pi
     lo, hi = cfg.support
     if cfg.kind == KIND_PHOTON:
         line = integrate_line(density, lo, hi, spec)
     else:
         line = 2.0 * integrate_line(density, lo, 0.5 * (lo + hi), spec)
-    return IntegralReport(s_used * line, closed_form(s_flat), s_used / s_flat)
+    return IntegralReport(s_used * line, closed_form, s_used / s_flat)
 
 
 def total_charge(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> IntegralReport:
@@ -187,9 +199,7 @@ def total_charge(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> 
     lobe value is E_o S_c / 2pi, half the stated closed form; the
     factor is reported, and the closed form stays canonical downstream.
     """
-    sign = 0.0 if cfg.kind == KIND_PHOTON else cfg.sign
-    return _integral_report(cfg, zeta, spec, lambda l: charge_density(cfg, l),
-                            lambda s_flat: sign * cfg.e_o * s_flat / math.pi)
+    return _integral_report(cfg, _section(cfg, zeta, spec), spec)
 
 
 def total_mass(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> IntegralReport:
@@ -201,8 +211,20 @@ def total_mass(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> In
     """
     if cfg.kind == KIND_PHOTON:
         raise DomainError(f"mass integral is defined for semi-photon kinds, got {cfg.kind!r}")
-    omega, c = cfg.geometry.omega_K, cfg.geometry.c
-    return _integral_report(
-        cfg, zeta, spec, lambda l: mass_density(cfg, l),
-        lambda s_flat: cfg.e_o * cfg.e_o * s_flat / (4.0 * omega * c),
-    )
+    return _integral_report(cfg, _section(cfg, zeta, spec), spec, mass=True)
+
+
+def consistency_reports(zeta: float, spec: QuadratureSpec,
+                        k: PhysicalConstants) -> dict[str, IntegralReport]:
+    """What total_charge gives for the photon and total_charge and total_mass
+    for the plus semi-photon, both at the E_o of semi_photon_model(zeta, k)
+    on its ring, from one section measure: the `consistency` command's reports.
+    """
+    model = semi_photon_model(zeta, k)
+    ring = ring_from_radius(model.r_s, k.c)
+    photon = twirled_field(KIND_PHOTON, model.e_o, ring)
+    semi = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
+    section = _section(semi, zeta, spec)
+    return {"photon_charge": _integral_report(photon, section, spec),
+            "semi_photon_charge": _integral_report(semi, section, spec),
+            "semi_photon_mass": _integral_report(semi, section, spec, mass=True)}

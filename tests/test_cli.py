@@ -349,6 +349,24 @@ def test_consistency_rule_and_jacobian_flags(capsys):
     assert abs(data["semi_photon_mass"]["section_factor"] - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("jacobian", [[], ["--toroidal-jacobian"]], ids=["flat", "jacobian"])
+def test_consistency_computes_one_section_measure(capsys, monkeypatch, jacobian, fmt):
+    # the three reports share the torus, so one command measures its section once
+    import ringwave.quadrature
+
+    calls = []
+    measure = ringwave.quadrature.section_measure
+
+    def counted(shape, spec):
+        calls.append(shape)
+        return measure(shape, spec)
+
+    monkeypatch.setattr(ringwave.quadrature, "section_measure", counted)
+    code, _, err = run_cli(capsys, ["consistency", "--panels", "3", "--format", fmt, *jacobian])
+    assert (code, err, len(calls)) == (0, "", 1)
+
+
 def test_consistency_takes_zeta(capsys):
     args = parse_args(["consistency"])
     args.zeta = 0.5

@@ -14,6 +14,7 @@ from ringwave import (
     RULE_MIDPOINT,
     TorusShape,
     codata_constants,
+    consistency_reports,
     field_at,
     integrate_line,
     mass_density,
@@ -232,6 +233,23 @@ def test_mass_refuses_an_amplitude_whose_energy_density_overflows():
     _, ring, _ = _electron_setup()
     with pytest.raises(DomainError, match="energy density overflows"):
         total_mass(twirled_field(KIND_SEMI_PLUS, 1e200, ring), 1.0, SPEC)
+
+
+@pytest.mark.parametrize("panels", [1, 2, 7])
+@pytest.mark.parametrize("zeta", [1.0, 0.5, 1e-3])
+@pytest.mark.parametrize("jacobian", [False, True])
+@pytest.mark.parametrize("rule", [RULE_GAUSS5, RULE_MIDPOINT])
+def test_consistency_reports_are_the_totals(rule, jacobian, zeta, panels):
+    # one shared section measure gives each report's every field, bit for bit
+    spec = QuadratureSpec(panels, rule, jacobian)
+    model, ring, _ = _electron_setup(zeta)
+    photon = twirled_field(KIND_PHOTON, model.e_o, ring)
+    semi = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
+    assert consistency_reports(zeta, spec, K) == {
+        "photon_charge": total_charge(photon, zeta, spec),
+        "semi_photon_charge": total_charge(semi, zeta, spec),
+        "semi_photon_mass": total_mass(semi, zeta, spec),
+    }
 
 
 def test_toroidal_volume_element_changes_nothing_measurable():
