@@ -216,10 +216,9 @@ def total_mass(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> In
 
 def consistency_reports(zeta: float, spec: QuadratureSpec,
                         k: PhysicalConstants) -> dict[str, IntegralReport]:
-    """What total_charge gives for the photon and total_charge and total_mass
-    for the plus semi-photon, both at the E_o of semi_photon_model(zeta, k)
-    on its ring, from one section measure: the `consistency` command's reports.
-    """
+    """The `consistency` command's reports: total_charge of the photon, and
+    total_charge and total_mass of the plus semi-photon, at the E_o of
+    semi_photon_model(zeta, k) on its ring, from one section measure."""
     model = semi_photon_model(zeta, k)
     ring = ring_from_radius(model.r_s, k.c)
     photon = twirled_field(KIND_PHOTON, model.e_o, ring)
