@@ -207,7 +207,7 @@ def _cmd_constants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str,
     return _named_values(args, [
         ("c", k.c, "cm/s"),
         ("hbar", k.hbar, "erg*s"),
-        ("h", k.h, "erg*s"),
+        ("h", 2.0 * math.pi * k.hbar, "erg*s"),
         ("e", k.e, "statC"),
         ("m_e", k.m_e, "g"),
         ("alpha_exp", k.alpha_exp, ""),

@@ -4,11 +4,10 @@ Values are CODATA 2018.  The elementary charge is carried in
 electrostatic units (statcoulomb) so that the fine-structure constant
 is alpha = e^2 / (hbar c) with no vacuum-permittivity factor.
 
-hbar is stored as h / (2 pi) evaluated in double precision rather than
-as the rounded published decimal: the rounded value 1.054571817e-27
-breaks h = 2 pi hbar at the 4e-10 level, while the evaluated quotient
-keeps the identity exact to machine precision and still matches the
-published decimal to 7e-10.
+hbar is stored, and h is 2 pi hbar wherever it is needed.  hbar is the
+exact h = 6.62607015e-27 over 2 pi in double precision, so 2 pi hbar gives
+h back bit for bit; the rounded published decimal 1.054571817e-27, which
+it matches to 7e-10, would break h = 2 pi hbar at the 4e-10 level.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import math
 from .errors import _Record, _require_number
 
 C_LIGHT = 2.99792458e10        # speed of light, cm/s (exact)
-H_PLANCK = 6.62607015e-27      # Planck constant, erg*s (exact)
+H_PLANCK = 6.62607015e-27      # Planck constant, erg*s (exact; defines HBAR)
 HBAR = H_PLANCK / (2.0 * math.pi)  # reduced Planck constant, erg*s
 E_CHARGE = 4.803204712570263e-10   # elementary charge, statC
 M_ELECTRON = 9.1093837015e-28  # electron mass, g
@@ -26,11 +25,10 @@ ALPHA_EXP = 7.2973525693e-3    # fine-structure constant, measured
 
 
 class PhysicalConstants(_Record):
-    """Bundle of universal constants.
+    """Bundle of universal constants; the Planck constant h is 2 pi hbar.
 
     c : speed of light (cm/s)
     hbar : reduced Planck constant (erg*s)
-    h : Planck constant (erg*s)
     e : elementary charge (statC)
     m_e : electron mass (g)
     alpha_exp : measured fine-structure constant (dimensionless)
@@ -38,7 +36,6 @@ class PhysicalConstants(_Record):
 
     c: float
     hbar: float
-    h: float
     e: float
     m_e: float
     alpha_exp: float
@@ -50,7 +47,7 @@ class PhysicalConstants(_Record):
 
 def codata_constants() -> PhysicalConstants:
     """Return the CODATA 2018 constants in Gaussian CGS units."""
-    return PhysicalConstants(C_LIGHT, HBAR, H_PLANCK, E_CHARGE, M_ELECTRON, ALPHA_EXP)
+    return PhysicalConstants(C_LIGHT, HBAR, E_CHARGE, M_ELECTRON, ALPHA_EXP)
 
 
 def electron_scales(k: PhysicalConstants) -> tuple[float, float]:

@@ -82,10 +82,12 @@ def boost_plane_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
 
 def boost_packet(p: WavePacket, beta: float
                  ) -> tuple[WavePacket, tuple[float, float, float], float]:
-    """Boost the packet at beta in (-1, 1) along x, its direction: (primed packet,
-    its ratios (c1, c2, c3), their worst drift |a/b - 1| from the packet's own)."""
+    """Boost the packet at beta in (-1, 1) along x: (primed packet, its ratios (c1, c2, c3),
+    their worst drift |a/b - 1| from the packet's own).  Refuses a packet ratio of 0.0."""
     _require_number(beta, "beta", -1.0, 1.0)
     before = _ratios(p.e_o, p.omega, p.energy, p.volume)  # a WavePacket's numbers are checked
+    if 0.0 in before:  # an underflow, at every beta: the drift divides by each ratio
+        raise DomainError(f"a ratio of {p} underflows to 0.0: {before}")
     if beta == 0.0:
         return p, before, 0.0
 

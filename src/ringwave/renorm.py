@@ -40,10 +40,11 @@ def vacuum_polarization(alpha_bare: float, k: PhysicalConstants) -> VacuumPolari
     """Screen a bare coupling down to the measured one.
 
     Requires alpha_bare > alpha_exp: screening only ever weakens the
-    interaction.
+    interaction.  A coupling whose eps_v overflows is refused.
     """
     _require_number(alpha_bare, "bare coupling", k.alpha_exp)
     eps_v = alpha_bare / k.alpha_exp
+    _require_number(eps_v, f"eps_v of bare coupling {alpha_bare}")
     r_0, _ = electron_scales(k)
     return VacuumPolarization(
         eps_v=eps_v, alpha_bare=alpha_bare, alpha_exp=k.alpha_exp,

@@ -9,7 +9,7 @@ K = codata_constants()
 
 def test_defined_values_exact():
     assert K.c == 2.99792458e10
-    assert K.h == 6.62607015e-27
+    assert 2.0 * math.pi * K.hbar == 6.62607015e-27
     assert K.m_e == 9.1093837015e-28
     assert K.alpha_exp == 7.2973525693e-3
 
@@ -19,20 +19,16 @@ def test_hbar_matches_published_decimal():
     assert abs(K.hbar / 1.054571817e-27 - 1.0) < 1e-9
 
 
-def test_h_is_two_pi_hbar():
-    assert abs(K.h / (2.0 * math.pi * K.hbar) - 1.0) < 1e-14
-
-
 def test_alpha_consistent_with_charge():
     assert abs(K.e * K.e / (K.hbar * K.c) / K.alpha_exp - 1.0) < 1e-9
 
 
 def test_constants_must_be_positive():
     with pytest.raises(DomainError):
-        PhysicalConstants(c=-1.0, hbar=K.hbar, h=K.h, e=K.e,
+        PhysicalConstants(c=-1.0, hbar=K.hbar, e=K.e,
                           m_e=K.m_e, alpha_exp=K.alpha_exp)
     with pytest.raises(DomainError):
-        PhysicalConstants(c=K.c, hbar=K.hbar, h=K.h, e=0.0,
+        PhysicalConstants(c=K.c, hbar=K.hbar, e=0.0,
                           m_e=K.m_e, alpha_exp=K.alpha_exp)
 
 

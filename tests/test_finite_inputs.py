@@ -218,8 +218,10 @@ def test_dispersion_takes_a_finite_non_negative_wave_number_and_mass(k_wave, mas
 @given(ANY_FLOAT)
 @example(math.nan)
 @example(math.inf)
+@example(1.4e306)  # eps_v = alpha_bare / alpha_exp overflows above ~1.31e306
+@example(1e308)
 def test_vacuum_polarization_takes_a_finite_coupling_above_the_measured(alpha_bare):
-    if math.isfinite(alpha_bare) and alpha_bare > K.alpha_exp:
+    if alpha_bare > K.alpha_exp and _finite_positive(alpha_bare, alpha_bare / K.alpha_exp):
         assert vacuum_polarization(alpha_bare, K).eps_v == alpha_bare / K.alpha_exp
     else:
         with pytest.raises(DomainError):

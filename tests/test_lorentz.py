@@ -52,12 +52,26 @@ def test_receding_at_beta_06_halves_frequency():
     assert abs(primed.e_o / (0.5 * PACKET.e_o) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("amp", [1e200, 1e-200])
+@pytest.mark.parametrize("amp", [1e200, 1e-200, 1e-303, 5e-324])
 def test_boost_takes_any_amplitude_the_packet_takes(amp):
+    if amp / PHOTON.omega_p == 0.0:
+        # c1 = E_o/omega_p underflows to 0.0, and the drift divides by it:
+        # refused at every beta, 0 included, with the package's own error
+        packet = WavePacket(amp, PHOTON.omega_p, PHOTON.energy, PHOTON.volume)
+        for beta in (0.0, 0.5, -0.5):
+            with pytest.raises(DomainError, match="underflows to 0.0"):
+                boost_packet(packet, beta)
+        return
     # E'.E' over- or underflows here; |E'| itself is finite and positive
     primed, _, drift = boost_packet(WavePacket(amp, 1.0, 1.0, 1.0), 0.6)
     assert abs(primed.e_o / (0.5 * amp) - 1.0) < 1e-15
     assert drift < 1e-15
+
+
+def test_boost_refuses_a_packet_whose_volume_ratio_underflows():
+    # c3 = volume * omega = 5e-324 * 1e-300 underflows to 0.0
+    with pytest.raises(DomainError, match="underflows to 0.0"):
+        boost_packet(WavePacket(1.0, 1e-300, 1.0, 5e-324), 0.5)
 
 
 def test_approaching_frame_blueshifts():

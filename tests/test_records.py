@@ -45,7 +45,7 @@ PACKET = WavePacket(1.0, 2.0, 3.0, 4.0)
 # class -> (an instance, every field in declaration order, a change of one
 # constructor argument, a change that validation refuses or None)
 RECORDS = {
-    PhysicalConstants: (K, ("c", "hbar", "h", "e", "m_e", "alpha_exp"),
+    PhysicalConstants: (K, ("c", "hbar", "e", "m_e", "alpha_exp"),
                         {"e": 1.0}, {"c": math.nan}),
     RingGeometry: (RING, ("r_k", "c", "K", "omega_K", "circumference"),
                    {"r_k": 3.0}, {"r_k": math.inf}),
