@@ -45,7 +45,26 @@ def _g6(v: float) -> str:
     return f"{float(v):.6g}"
 
 
-def _table(rows: list[tuple[str, str, str]]) -> str:
+# the printed unit of each dimensional row, by row name, for every command;
+# a name not in the table is a pure number
+_UNITS = {
+    "c": "cm/s", "hbar": "erg*s", "h": "erg*s", "e": "statC", "m_e": "g",
+    "r_0": "cm", "lambda_bar_c": "cm", "r_c": "cm",
+    "energy": "erg", "momentum": "g*cm/s", "omega_p": "rad/s", "lambda_p": "cm",
+    "r_p": "cm", "s_p": "cm^2", "volume": "cm^3", "spin": "erg*s",
+    "mass_equivalent": "g", "nu": "1/s",
+    "e_o": "statV/cm", "r_s": "cm", "omega_s": "rad/s", "q_s": "statC", "m_s": "g",
+    "sigma_s": "erg*s", "mu_s": "erg/G", "q_bare": "statC", "q_exp": "statC", "r_bare": "cm",
+    "omega_at_k0_m_e": "rad/s", "m_e_c2_over_hbar": "rad/s",
+    "omega_massless_at_k_ref": "rad/s", "c_times_k_ref": "rad/s", "k_ref": "1/cm",
+    "lambda_min_planck_form": "cm", "lambda_min_alpha_form": "cm",
+}
+
+
+def _table(data: dict[str, float | str]) -> str:
+    """One row per name: the name, its value (a number to 6 digits) and its unit."""
+    rows = [(name, value if isinstance(value, str) else _g6(value), _UNITS.get(name, ""))
+            for name, value in data.items()]
     width = max(len(name) for name, _, _ in rows)
     vwidth = max(len(value) for _, value, _ in rows)
     lines = [
@@ -194,53 +213,24 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     return _parser(command if command in _COMMANDS else None).parse_args(argv)
 
 
-def _named_values(args: argparse.Namespace,
-                  data: list[tuple[str, float, str]]) -> tuple[str, int]:
-    """A JSON object of name: value, or a table of (name, value, unit) rows."""
-    if args.format == "json":
-        return _json_text({name: value for name, value, _ in data}), 0
-    return _table([(name, _g6(value), unit) for name, value, unit in data]), 0
+def _named_values(args: argparse.Namespace, data: dict[str, float]) -> tuple[str, int]:
+    """A JSON object of name: value, or a _table of them."""
+    return _json_text(data) if args.format == "json" else _table(data), 0
 
 
 def _cmd_constants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
     r_0, lambda_bar_c = electron_scales(k)
-    return _named_values(args, [
-        ("c", k.c, "cm/s"),
-        ("hbar", k.hbar, "erg*s"),
-        ("h", 2.0 * math.pi * k.hbar, "erg*s"),
-        ("e", k.e, "statC"),
-        ("m_e", k.m_e, "g"),
-        ("alpha_exp", k.alpha_exp, ""),
-        ("r_0", r_0, "cm"),
-        ("lambda_bar_c", lambda_bar_c, "cm"),
-        ("r_c", lambda_bar_c, "cm"),
-    ])
-
-
-_PHOTON_UNITS = {
-    "energy": "erg", "momentum": "g*cm/s", "omega_p": "rad/s",
-    "lambda_p": "cm", "r_p": "cm", "s_p": "cm^2", "volume": "cm^3",
-    "spin": "erg*s", "mass_equivalent": "g", "n": "", "nu": "1/s",
-}
-
-_SEMI_UNITS = {
-    "zeta": "", "e_o": "statV/cm", "r_s": "cm", "omega_s": "rad/s",
-    "q_s": "statC", "m_s": "g", "alpha_s": "", "sigma_s": "erg*s",
-    "mu_s": "erg/G", "sign": "",
-}
-
-_RENORM_UNITS = {
-    "eps_v": "", "alpha_bare": "", "alpha_exp": "", "q_bare": "statC",
-    "q_exp": "statC", "r_bare": "cm", "r_0": "cm",
-}
+    return _named_values(args, {
+        "c": k.c, "hbar": k.hbar, "h": 2.0 * math.pi * k.hbar, "e": k.e, "m_e": k.m_e,
+        "alpha_exp": k.alpha_exp, "r_0": r_0, "lambda_bar_c": lambda_bar_c,
+        "r_c": lambda_bar_c,
+    })
 
 
 def _cmd_photon(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
     from .model import pair_threshold_photon
 
-    record = pair_threshold_photon(k).asdict()
-    return _named_values(args, [(name, value, _PHOTON_UNITS[name])
-                                  for name, value in record.items()])
+    return _named_values(args, pair_threshold_photon(k).asdict())
 
 
 def _cmd_semiphoton(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
@@ -261,19 +251,11 @@ def _cmd_semiphoton(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str
             "renormalization": vp.asdict() if vp is not None else None,
         }), 0
 
-    rows = [("[model]", "", "")]
-    for name, value in record.items():
-        text = value if isinstance(value, str) else _g6(value)
-        rows.append((name, text, _SEMI_UNITS[name]))
-    rows.append(("thomas", "on" if args.thomas else "off", ""))
+    rows = {"[model]": "", **record, "thomas": "on" if args.thomas else "off"}
     if vp is not None:
-        rows.append(("[renormalization]", "", ""))
-        for name, value in vp.asdict().items():
-            rows.append((name, _g6(value), _RENORM_UNITS[name]))
-        rows.append(("q_bare/e", _g6(vp.q_bare / k.e), ""))
+        rows |= {"[renormalization]": "", **vp.asdict(), "q_bare/e": vp.q_bare / k.e}
     else:
-        rows.append(("[renormalization]", "skipped", ""))
-        rows.append(("reason", "alpha_s <= alpha_exp", ""))
+        rows |= {"[renormalization]": "skipped", "reason": "alpha_s <= alpha_exp"}
     return _table(rows), 0
 
 
@@ -362,16 +344,16 @@ def _cmd_dispersion(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str
     photon = pair_threshold_photon(k)
     k_ref = 1.0 / photon.r_p
     lam_planck, lam_alpha = uncertainty_min_length(photon.energy, k)
-    return _named_values(args, [
-        ("omega_at_k0_m_e", dispersion_omega(0.0, k.m_e, k), "rad/s"),
-        ("m_e_c2_over_hbar", k.m_e * k.c * k.c / k.hbar, "rad/s"),
-        ("omega_massless_at_k_ref", dispersion_omega(k_ref, 0.0, k), "rad/s"),
-        ("c_times_k_ref", k.c * k_ref, "rad/s"),
-        ("k_ref", k_ref, "1/cm"),
-        ("lambda_min_planck_form", lam_planck, "cm"),
-        ("lambda_min_alpha_form", lam_alpha, "cm"),
-        ("lambda_p", photon.lambda_p, "cm"),
-    ])
+    return _named_values(args, {
+        "omega_at_k0_m_e": dispersion_omega(0.0, k.m_e, k),
+        "m_e_c2_over_hbar": k.m_e * k.c * k.c / k.hbar,
+        "omega_massless_at_k_ref": dispersion_omega(k_ref, 0.0, k),
+        "c_times_k_ref": k.c * k_ref,
+        "k_ref": k_ref,
+        "lambda_min_planck_form": lam_planck,
+        "lambda_min_alpha_form": lam_alpha,
+        "lambda_p": photon.lambda_p,
+    })
 
 
 # name: (help, handler), in the order the top-level help lists them

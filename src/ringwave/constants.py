@@ -52,5 +52,11 @@ def codata_constants() -> PhysicalConstants:
 
 def electron_scales(k: PhysicalConstants) -> tuple[float, float]:
     """(r_0, lambda_bar_c) in cm from k: the classical electron radius
-    e^2 / (m_e c^2) and the reduced Compton wavelength hbar / (m_e c)."""
-    return k.e * k.e / (k.m_e * k.c * k.c), k.hbar / (k.m_e * k.c)
+    e^2 / (m_e c^2) and the reduced Compton wavelength hbar / (m_e c).
+    Refuses constants for which m_e c^2 or a scale over- or underflows."""
+    m_c = k.m_e * k.c
+    _require_number(m_c * k.c, f"m_e c^2 of {k}")  # so m_e c is finite and positive too
+    r_0, lambda_bar_c = k.e * k.e / (m_c * k.c), k.hbar / m_c
+    _require_number(r_0, f"r_0 of {k}")
+    _require_number(lambda_bar_c, f"lambda_bar_c of {k}")
+    return r_0, lambda_bar_c

@@ -20,6 +20,7 @@ across the direction of travel is not modelled.
 from __future__ import annotations
 
 import math
+import sys
 
 from .constants import C_LIGHT, HBAR
 from .errors import DomainError, _Record, _require_number, _Vec3
@@ -83,11 +84,13 @@ def boost_plane_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
 def boost_packet(p: WavePacket, beta: float
                  ) -> tuple[WavePacket, tuple[float, float, float], float]:
     """Boost the packet at beta in (-1, 1) along x: (primed packet, its ratios (c1, c2, c3),
-    their worst drift |a/b - 1| from the packet's own).  Refuses a packet ratio of 0.0."""
+    their worst drift |a/b - 1| from the packet's own).  Refuses a ratio, before or after
+    the boost, that underflows to 0.0 or to a subnormal number, whose rounding is coarse."""
     _require_number(beta, "beta", -1.0, 1.0)
     before = _ratios(p.e_o, p.omega, p.energy, p.volume)  # a WavePacket's numbers are checked
-    if 0.0 in before:  # an underflow, at every beta: the drift divides by each ratio
-        raise DomainError(f"a ratio of {p} underflows to 0.0: {before}")
+    if min(before) < sys.float_info.min:  # at every beta: the drift divides by each ratio
+        raise DomainError(f"a ratio of {p} at beta {beta} underflows to 0.0 or a subnormal:"
+                          f" {before}")
     if beta == 0.0:
         return p, before, 0.0
 
@@ -107,8 +110,11 @@ def boost_packet(p: WavePacket, beta: float
     lam_prime = 2.0 * math.pi * C_LIGHT / omega_prime
     volume_prime = (p.volume / lam) * lam_prime
 
-    primed = WavePacket(e_o_prime, omega_prime, energy_prime, volume_prime)
     after = _ratios(e_o_prime, omega_prime, energy_prime, volume_prime)
+    if min(after) < sys.float_info.min:
+        raise DomainError(f"a ratio of {p} boosted at beta {beta} underflows to 0.0"
+                          f" or a subnormal: {after}")
+    primed = WavePacket(e_o_prime, omega_prime, energy_prime, volume_prime)
     drift = max([abs(a / b - 1.0) for a, b in zip(after, before)])
     return primed, after, drift
 

@@ -40,15 +40,17 @@ def vacuum_polarization(alpha_bare: float, k: PhysicalConstants) -> VacuumPolari
     """Screen a bare coupling down to the measured one.
 
     Requires alpha_bare > alpha_exp: screening only ever weakens the
-    interaction.  A coupling whose eps_v overflows is refused.
+    interaction.  A coupling whose eps_v overflows is refused, and so are
+    constants whose r_0 or r_bare over- or underflows.  q_bare = e sqrt(eps_v)
+    needs no check: it lies between e and sqrt(e^2 eps_v), both finite.
     """
     _require_number(alpha_bare, "bare coupling", k.alpha_exp)
     eps_v = alpha_bare / k.alpha_exp
     _require_number(eps_v, f"eps_v of bare coupling {alpha_bare}")
     r_0, _ = electron_scales(k)
+    r_bare = r_0 / k.alpha_exp
+    _require_number(r_bare, f"r_bare of r_0 = {r_0} and alpha_exp = {k.alpha_exp}")
     return VacuumPolarization(
         eps_v=eps_v, alpha_bare=alpha_bare, alpha_exp=k.alpha_exp,
-        q_bare=k.e * math.sqrt(eps_v), q_exp=k.e,
-        r_bare=r_0 / k.alpha_exp, r_0=r_0,
+        q_bare=k.e * math.sqrt(eps_v), q_exp=k.e, r_bare=r_bare, r_0=r_0,
     )
-

@@ -20,6 +20,7 @@ from ringwave import (
     KIND_PHOTON,
     KIND_SEMI_PLUS,
     DomainError,
+    PhysicalConstants,
     QuadratureSpec,
     TorusShape,
     WavePacket,
@@ -29,6 +30,7 @@ from ringwave import (
     codata_constants,
     dispersion_omega,
     displacement_current,
+    electron_scales,
     field_at,
     frenet_at,
     integrate_line,
@@ -116,6 +118,49 @@ def test_physical_constants_take_finite_positive_values(name, value):
     else:
         with pytest.raises(DomainError):
             K.replace(**{name: value})
+
+
+POSITIVE_FLOAT = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(st.sampled_from(K.init_fields), POSITIVE_FLOAT)
+@example("e", 1e200)  # r_0 overflows
+@example("c", 1e-200)  # m_e c^2 underflows to 0, which r_0 divides by
+@example("m_e", 1e300)  # m_e c^2 overflows, so r_0 underflows
+def test_electron_scales_are_finite_and_positive(name, value):
+    k = K.replace(**{name: value})
+    m_e_c2 = k.m_e * k.c * k.c
+    if _finite_positive(m_e_c2) and _finite_positive(k.e * k.e / m_e_c2, k.hbar / (k.m_e * k.c)):
+        assert electron_scales(k) == (k.e * k.e / m_e_c2, k.hbar / (k.m_e * k.c))
+    else:
+        with pytest.raises(DomainError):
+            electron_scales(k)
+
+
+@given(st.sampled_from(K.init_fields), POSITIVE_FLOAT,
+       st.sampled_from(K.init_fields), POSITIVE_FLOAT)
+@example("e", 1e200, "e", 1e200)  # r_0, and so r_bare, overflows
+@example("m_e", 1e-300, "alpha_exp", 1e-60)  # r_bare = r_0 / alpha_exp overflows, r_0 does not
+def test_vacuum_polarization_fields_are_finite_and_positive(name, value, name2, value2):
+    k = K.replace(**{name: value, name2: value2})
+    try:
+        r_0 = electron_scales(k)[0]
+    except DomainError:
+        r_0 = math.inf
+    eps_v = 1.0 / k.alpha_exp
+    if k.alpha_exp < 1.0 and _finite_positive(eps_v, r_0, r_0 / k.alpha_exp):
+        assert _finite_positive(*_floats(vacuum_polarization(1.0, k)))
+    else:
+        with pytest.raises(DomainError):
+            vacuum_polarization(1.0, k)
+
+
+def test_bare_charge_stays_finite_at_the_largest_charge_and_coupling():
+    # q_bare = e sqrt(eps_v) <= sqrt(e^2 eps_v), so vacuum_polarization does
+    # not check it: here e^2, eps_v and q_bare all reach ~1.8e308
+    e = 1.3407807929942596e154  # the largest e whose e^2 is finite
+    vp = vacuum_polarization(sys.float_info.max, PhysicalConstants(1.0, 1.0, e, 1.0, 1.0))
+    assert _finite_positive(*_floats(vp)) and vp.q_bare > 1e308
 
 
 @given(st.sampled_from(["e_o", "omega", "energy", "volume"]), ANY_FLOAT)

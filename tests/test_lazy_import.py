@@ -115,8 +115,8 @@ def _run(code, *args, flags=()):
     return proc.stdout
 
 
-def _probe(commands, module="numpy"):
-    return json.loads(_run(PROBE, json.dumps(commands), module))
+def _probe(commands, module="numpy", flags=()):
+    return json.loads(_run(PROBE, json.dumps(commands), module, flags=flags))
 
 
 def test_scalar_commands_never_import_numpy():
@@ -137,8 +137,9 @@ def test_vector_api_returns_float_tuples_without_numpy():
 
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
 def test_no_command_imports_dataclasses_or_inspect(module):
-    # the records derive from errors._Record, which needs neither
-    loaded = _probe(list(SCALAR_COMMANDS), module)
+    # the records derive from errors._Record, which needs neither; -S, as
+    # some Pythons' site (3.13.13's, for one) imports inspect before ringwave runs
+    loaded = _probe(list(SCALAR_COMMANDS), module, flags=["-S"])
     assert loaded.pop("import ringwave.cli") is False
     for command, (code, module_loaded) in loaded.items():
         assert code == 0, command

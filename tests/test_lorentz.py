@@ -74,6 +74,24 @@ def test_boost_refuses_a_packet_whose_volume_ratio_underflows():
         boost_packet(WavePacket(1.0, 1e-300, 1.0, 5e-324), 0.5)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.6])
+def test_boost_refuses_a_subnormal_ratio_naming_the_callers_packet(beta):
+    # c1 = 5e-324 rounds coarsely: at 0.5 the drift read 1.0, at 0.6 the
+    # boosted amplitude 0.0 was refused as if the caller had passed it
+    packet = WavePacket(5e-324, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="subnormal") as refused:
+        boost_packet(packet, beta)
+    assert f"{packet} at beta {beta} " in str(refused.value)
+
+
+def test_boost_refuses_a_ratio_that_underflows_in_the_boost():
+    # every ratio is normal before the boost; at 0.6 E_o' = 5e-324/2 rounds to 0.0
+    packet = WavePacket(5e-324, 1e-290, 1e-300, 1.0)
+    with pytest.raises(DomainError, match="subnormal") as refused:
+        boost_packet(packet, 0.6)
+    assert f"{packet} boosted at beta 0.6 " in str(refused.value)
+
+
 def test_approaching_frame_blueshifts():
     primed, _, _ = boost_packet(PACKET, -0.6)
     assert primed.omega == 2.0 * PACKET.omega

@@ -3,11 +3,13 @@
 Measuring length, mass and time in units a, b and t times smaller than
 the cm, g and s scales each constant by its dimension: c by a/t, hbar by
 b a^2/t, the statcoulomb e by b^(1/2) a^(3/2)/t and m_e by b, while
-alpha_exp is a pure number.  Every dimensionless output must then stay
-the same, and every dimensional record field must scale by a^p b^q t^r,
-with (p, q, r) read from DIMENSIONS.  A value test that derives its
-expectation from the same closed form as the code cannot see a
-misplaced c or hbar; here it moves an output by a power of a, b or t.
+alpha_exp is a pure number.  Every number that `constants`, `photon`,
+`semiphoton` and `dispersion` print must then scale by a^p b^q t^r, with
+(p, q, r) read from the unit the table prints beside it (cli._UNITS; a
+row without a unit is a pure number and must stay the same).  A value
+test that derives its expectation from the same closed form as the code
+cannot see a misplaced c or hbar, nor a wrong printed unit; here either
+moves an output away from its unit's power of a, b or t.
 
 The factors span 1e-20 to 1e27, where no overflow guard fires: the
 guards keep tests of their own.  Each bound is a first-order count of
@@ -16,6 +18,8 @@ dimensionless output has the same exact value in every unit system, so
 two systems differ by at most twice the count of one evaluation.
 """
 
+import argparse
+import json
 import math
 
 from hypothesis import given
@@ -33,32 +37,40 @@ from ringwave import (
     uncertainty_min_length,
     vacuum_polarization,
 )
+from ringwave.cli import _COMMANDS, _UNITS
 
 K = codata_constants()
 U = 2.0 ** -53  # unit roundoff of a double
 
 CHARGE = (1.5, 0.5, -1.0)  # statC = g^1/2 cm^3/2 / s
-# powers (p, q, r) of cm, g and s in the unit of each record field; the
-# consistency reports' value, closed_form and abs_error by report name
-DIMENSIONS = {
-    # PhotonModel
-    "energy": (2, 1, -2), "momentum": (1, 1, -1), "omega_p": (0, 0, -1),
-    "lambda_p": (1, 0, 0), "r_p": (1, 0, 0), "s_p": (2, 0, 0), "volume": (3, 0, 0),
-    "spin": (2, 1, -1), "mass_equivalent": (0, 1, 0), "n": (0, 0, 0), "nu": (0, 0, -1),
-    # SemiPhotonModel: statV/cm = statC/cm^2, erg/G = statC cm
-    "zeta": (0, 0, 0), "e_o": (-0.5, 0.5, -1), "r_s": (1, 0, 0), "omega_s": (0, 0, -1),
-    "q_s": CHARGE, "m_s": (0, 1, 0), "alpha_s": (0, 0, 0), "sigma_s": (2, 1, -1),
-    "mu_s": (2.5, 0.5, -1),
-    # VacuumPolarization
-    "eps_v": (0, 0, 0), "alpha_bare": (0, 0, 0), "alpha_exp": (0, 0, 0),
-    "q_bare": CHARGE, "q_exp": CHARGE, "r_bare": (1, 0, 0), "r_0": (1, 0, 0),
-    # IntegralReport
-    "semi_photon_charge": CHARGE, "semi_photon_mass": (0, 1, 0),
+# powers (p, q, r) of cm, g and s in each unit that a printed unit is
+# written in: statV = statC/cm, and the gauss G = statV/cm
+BASE_UNITS = {
+    "cm": (1, 0, 0), "g": (0, 1, 0), "s": (0, 0, 1), "rad": (0, 0, 0),
+    "erg": (2, 1, -2), "statC": CHARGE, "statV": (0.5, 0.5, -1), "G": (-0.5, 0.5, -1),
 }
+# the consistency reports' value, closed_form and abs_error by report name;
+# their table prints no unit
+DIMENSIONS = {"semi_photon_charge": CHARGE, "semi_photon_mass": (0, 1, 0)}
+# the commands whose printed numbers each carry the unit of cli._UNITS
+PRINTING = ("constants", "photon", "semiphoton", "dispersion")
+
+
+def _dimension(unit: str) -> tuple[float, float, float]:
+    """(p, q, r) of a printed unit such as "g*cm/s", "cm^2" or "1/s"; "" is a pure number."""
+    power = [0.0, 0.0, 0.0]
+    numerator, _, denominator = unit.partition("/")
+    for sign, side in ((1, numerator), (-1, denominator)):
+        for factor in side.split("*") if side not in ("", "1") else ():
+            base, _, exponent = factor.partition("^")
+            for i, x in enumerate(BASE_UNITS[base]):
+                power[i] += sign * int(exponent or 1) * x
+    return tuple(power)
+
 
 # First-order rounding counts of one evaluation, in units of U.
-# The longest chain of a model or renorm field from the constants: alpha_s
-# takes 36 (counted in bench/checks.py for ALPHA_REL_TOL), mu_s 32.
+# The longest chain of a printed number from the constants: alpha_s takes
+# 36 (counted in bench/checks.py for ALPHA_REL_TOL), mu_s 32.
 MODEL_OPS = 40
 # The scaled constants are 2 (c), 4 (hbar), 5 (e) and 1 (m_e) roundings
 # off, raised to a field's powers: volume ~ (hbar/(m_e c))^3 takes 21.  The
@@ -85,16 +97,11 @@ def _scaled(a: float, b: float, t: float) -> PhysicalConstants:
                              K.e * math.sqrt(b) * a ** 1.5 / t, K.m_e * b, K.alpha_exp)
 
 
-def _records(k: PhysicalConstants, zeta: float, spec: QuadratureSpec):
-    """The records the CLI prints: the photon, the semi-photon at zeta, the
-    screening of the ring model's bare coupling 2/pi, the consistency reports."""
-    return (pair_threshold_photon(k), semi_photon_model(zeta, k),
-            vacuum_polarization(2.0 / math.pi, k), consistency_reports(zeta, spec, k))
-
-
 def _dimensionless(k: PhysicalConstants, zeta: float, spec: QuadratureSpec) -> dict:
-    """name -> (value, ops of one evaluation)."""
-    photon, semi, vp, reports = _records(k, zeta, spec)
+    """name -> (value, ops of one evaluation): ratios of the records at zeta, the
+    screening of the ring model's bare coupling 2/pi, and the consistency reports."""
+    photon, semi = pair_threshold_photon(k), semi_photon_model(zeta, k)
+    vp, reports = vacuum_polarization(2.0 / math.pi, k), consistency_reports(zeta, spec, k)
     charge, mass = reports["semi_photon_charge"], reports["semi_photon_mass"]
     line = _line_ops(spec)
     return {
@@ -132,28 +139,59 @@ def test_photon_charge_stays_the_same_fraction_of_the_semi_photon_charge(a, b, t
     assert abs(ratios[1] - ratios[0]) <= bound, ratios
 
 
-def _close(name: str, new: float, old: float, a: float, b: float, t: float, ops: int) -> None:
-    p, q, r = DIMENSIONS[name]
+def _printed(k: PhysicalConstants, zeta: float, thomas: bool) -> dict:
+    """(command, ..., row name) -> every value PRINTING writes with --format json."""
+    args = argparse.Namespace(format="json", zeta=zeta, thomas=thomas)
+    values = {}
+
+    def walk(path: tuple, obj) -> None:
+        if isinstance(obj, dict):
+            for name, value in obj.items():
+                walk(path + (name,), value)
+        else:
+            values[path] = obj
+
+    for command in PRINTING:
+        text, code = _COMMANDS[command][1](args, k)
+        assert code == 0, command
+        walk((command,), json.loads(text))
+    return values
+
+
+def _close(name, new: float, old: float, power, a: float, b: float, t: float, ops: int) -> None:
+    p, q, r = power
     expected = old * a ** p * b ** q * t ** r
     assert abs(new / expected - 1.0) <= ops * U, (name, old, new, expected)
 
 
+def test_every_unit_names_a_printed_row():
+    printed = {path[-1] for path in _printed(K, 1.0, False)}  # zeta 1 prints the screening
+    assert set(_UNITS) <= printed, set(_UNITS) - printed
+
+
+@given(SCALE, SCALE, SCALE, ZETA, st.booleans())
+def test_printed_numbers_scale_by_their_printed_unit(a, b, t, zeta, thomas):
+    here = _printed(K, zeta, thomas)
+    there = _printed(_scaled(a, b, t), zeta, thomas)
+    assert here.keys() == there.keys()
+    for path, old in here.items():
+        if type(old) is float:
+            power = _dimension(_UNITS.get(path[-1], ""))
+            _close(path, there[path], old, power, a, b, t, 2 * MODEL_OPS + INPUT_OPS)
+        else:  # the sign, thomas, a skipped screening
+            assert there[path] == old, path
+
+
 @given(SCALE, SCALE, SCALE, ZETA, SPEC)
-def test_record_fields_scale_by_their_dimension(a, b, t, zeta, spec):
-    here = _records(K, zeta, spec)
-    there = _records(_scaled(a, b, t), zeta, spec)
-    for old, new in zip(here[:3], there[:3]):
-        for name, value in old.asdict().items():
-            if isinstance(value, str):  # the sign
-                assert getattr(new, name) == value
-            else:
-                _close(name, getattr(new, name), value, a, b, t, 2 * MODEL_OPS + INPUT_OPS)
+def test_consistency_reports_scale_by_their_dimension(a, b, t, zeta, spec):
+    here = consistency_reports(zeta, spec, K)
+    there = consistency_reports(zeta, spec, _scaled(a, b, t))
     # the amplitude's chain and two nested sums at most, for each system
     ops = 2 * (MODEL_OPS + 2 * _line_ops(spec)) + INPUT_OPS
-    for name in ("semi_photon_charge", "semi_photon_mass"):
-        old, new = here[3][name], there[3][name]
-        _close(name, new.value, old.value, a, b, t, ops)
-        _close(name, new.closed_form, old.closed_form, a, b, t, ops)
+    for name, power in DIMENSIONS.items():
+        old, new = here[name], there[name]
+        _close(name, new.value, old.value, power, a, b, t, ops)
+        _close(name, new.closed_form, old.closed_form, power, a, b, t, ops)
         # value is about half the closed form, so their difference is at
         # most 3 times as far off as either
-        _close(name, new.abs_error, old.abs_error, a, b, t, 3 * ops)
+        _close(name, new.abs_error, old.abs_error, power, a, b, t, 3 * ops)
