@@ -16,13 +16,6 @@ import math
 
 from .errors import _Record, _require_number
 
-C_LIGHT = 2.99792458e10        # speed of light, cm/s (exact)
-H_PLANCK = 6.62607015e-27      # Planck constant, erg*s (exact; defines HBAR)
-HBAR = H_PLANCK / (2.0 * math.pi)  # reduced Planck constant, erg*s
-E_CHARGE = 4.803204712570263e-10   # elementary charge, statC
-M_ELECTRON = 9.1093837015e-28  # electron mass, g
-ALPHA_EXP = 7.2973525693e-3    # fine-structure constant, measured
-
 
 class PhysicalConstants(_Record):
     """Bundle of universal constants; the Planck constant h is 2 pi hbar.
@@ -47,7 +40,13 @@ class PhysicalConstants(_Record):
 
 def codata_constants() -> PhysicalConstants:
     """Return the CODATA 2018 constants in Gaussian CGS units."""
-    return PhysicalConstants(C_LIGHT, HBAR, E_CHARGE, M_ELECTRON, ALPHA_EXP)
+    return PhysicalConstants(
+        c=2.99792458e10,  # cm/s (exact)
+        hbar=6.62607015e-27 / (2.0 * math.pi),  # erg*s: the exact h over 2 pi
+        e=4.803204712570263e-10,  # statC
+        m_e=9.1093837015e-28,  # g
+        alpha_exp=7.2973525693e-3,  # dimensionless, measured
+    )
 
 
 def electron_scales(k: PhysicalConstants) -> tuple[float, float]:

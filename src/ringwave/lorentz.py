@@ -3,13 +3,15 @@
 The three packet ratios E_o/omega, energy/omega, volume*omega are
 claimed frame-invariant.  omega transforms through the wave
 four-vector (Doppler factor), E_o through the electromagnetic
-field-transformation law applied to explicit E and H vectors, energy
-through photon-count preservation, and volume through the
-boost-invariant count of wavelengths in the packet.  Only c1 is an
-independent check: HBAR and C_LIGHT cancel in the energy and volume
-routes, so c2 and c3 keep their unboosted values by algebra, up to
-rounding.  Open item 4 of ROADMAP.md plans routes of their own for them,
+field-transformation law applied to explicit E and H vectors.  The
+packet's photon and wavelength counts are frame-invariant, so energy
+follows omega and volume the wavelength: the Doppler factor multiplies
+energy and divides volume.  Only c1 is an independent check; c2 and c3
+keep their unboosted values by algebra, and their drift is rounding
+only.  Open item 4 of ROADMAP.md plans routes of their own for them,
 and a gate that holds closer than ~1e-8 to beta = +1, where it fails.
+A number or ratio that is subnormal, before or after the boost, is
+refused: its coarse rounding would read as drift.
 
 A packet travels along +x, E along +y and H along +z, and is boosted
 along x: positive beta means the new frame recedes from the wave
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 
-from .constants import C_LIGHT, HBAR
 from .errors import DomainError, _Record, _require_number, _Vec3
 from .model import _ratios
 
@@ -84,13 +85,14 @@ def boost_plane_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
 def boost_packet(p: WavePacket, beta: float
                  ) -> tuple[WavePacket, tuple[float, float, float], float]:
     """Boost the packet at beta in (-1, 1) along x: (primed packet, its ratios (c1, c2, c3),
-    their worst drift |a/b - 1| from the packet's own).  Refuses a ratio, before or after
-    the boost, that underflows to 0.0 or to a subnormal number, whose rounding is coarse."""
+    their worst drift |a/b - 1| from the packet's own).  Refuses a number or ratio, before
+    or after the boost, that is 0.0 or subnormal, whose rounding is coarse."""
     _require_number(beta, "beta", -1.0, 1.0)
-    before = _ratios(p.e_o, p.omega, p.energy, p.volume)  # a WavePacket's numbers are checked
-    if min(before) < sys.float_info.min:  # at every beta: the drift divides by each ratio
-        raise DomainError(f"a ratio of {p} at beta {beta} underflows to 0.0 or a subnormal:"
-                          f" {before}")
+    numbers = (p.e_o, p.omega, p.energy, p.volume)  # a WavePacket's numbers are checked
+    before = _ratios(*numbers)
+    if min(*numbers, *before) < sys.float_info.min:  # every beta: the drift divides by each ratio
+        raise DomainError(f"a number or ratio of {p} at beta {beta} underflows to 0.0"
+                          f" or a subnormal: ratios {before}")
     if beta == 0.0:
         return p, before, 0.0
 
@@ -99,22 +101,11 @@ def boost_packet(p: WavePacket, beta: float
     e_o_prime = math.hypot(*e_prime)  # E'.E' would over- or underflow first
 
     doppler = math.sqrt((1.0 - beta) / (1.0 + beta))
-    omega_prime = p.omega * doppler
-
-    # photon count is frame-independent: energy = N hbar omega in every frame
-    n_photons = p.energy / (HBAR * p.omega)
-    energy_prime = n_photons * HBAR * omega_prime
-
-    # wavelength count is frame-independent: volume = S N_lambda lambda
-    lam = 2.0 * math.pi * C_LIGHT / p.omega
-    lam_prime = 2.0 * math.pi * C_LIGHT / omega_prime
-    volume_prime = (p.volume / lam) * lam_prime
-
-    after = _ratios(e_o_prime, omega_prime, energy_prime, volume_prime)
-    if min(after) < sys.float_info.min:
-        raise DomainError(f"a ratio of {p} boosted at beta {beta} underflows to 0.0"
-                          f" or a subnormal: {after}")
-    primed = WavePacket(e_o_prime, omega_prime, energy_prime, volume_prime)
+    # photon and wavelength counts are frame-invariant: energy follows omega, volume lambda
+    primed = (e_o_prime, p.omega * doppler, p.energy * doppler, p.volume / doppler)
+    after = _ratios(*primed)
+    if min(*primed, *after) < sys.float_info.min:
+        raise DomainError(f"a number or ratio of {p} boosted at beta {beta} underflows to 0.0"
+                          f" or a subnormal: {primed}, ratios {after}")
     drift = max([abs(a / b - 1.0) for a, b in zip(after, before)])
-    return primed, after, drift
-
+    return WavePacket(*primed), after, drift

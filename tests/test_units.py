@@ -6,7 +6,8 @@ b a^2/t, the statcoulomb e by b^(1/2) a^(3/2)/t and m_e by b, while
 alpha_exp is a pure number.  Every number that `constants`, `photon`,
 `semiphoton` and `dispersion` print must then scale by a^p b^q t^r, with
 (p, q, r) read from the unit the table prints beside it (cli._UNITS; a
-row without a unit is a pure number and must stay the same).  A value
+row without a unit is a pure number and must stay the same), and so must
+every number of an `invariants` frame, by the unit FRAME_UNITS gives it.  A value
 test that derives its expectation from the same closed form as the code
 cannot see a misplaced c or hbar, nor a wrong printed unit; here either
 moves an output away from its unit's power of a, b or t.
@@ -37,7 +38,7 @@ from ringwave import (
     uncertainty_min_length,
     vacuum_polarization,
 )
-from ringwave.cli import _COMMANDS, _UNITS
+from ringwave.cli import _COMMANDS, _UNITS, DEFAULT_BETA_GRID
 
 K = codata_constants()
 U = 2.0 ** -53  # unit roundoff of a double
@@ -52,6 +53,9 @@ BASE_UNITS = {
 # the consistency reports' value, closed_form and abs_error by report name;
 # their table prints no unit
 DIMENSIONS = {"semi_photon_charge": CHARGE, "semi_photon_mass": (0, 1, 0)}
+# the unit of each number of an invariants frame; its table prints none
+FRAME_UNITS = {"beta": "", "omega": "rad/s", "e_o": "statV/cm", "energy": "erg",
+               "volume": "cm^3", "c1": "statV*s/cm", "c2": "erg*s", "c3": "cm^3/s"}
 # the commands whose printed numbers each carry the unit of cli._UNITS
 PRINTING = ("constants", "photon", "semiphoton", "dispersion")
 
@@ -195,3 +199,44 @@ def test_consistency_reports_scale_by_their_dimension(a, b, t, zeta, spec):
         # value is about half the closed form, so their difference is at
         # most 3 times as far off as either
         _close(name, new.abs_error, old.abs_error, power, a, b, t, 3 * ops)
+
+
+def _frame_ops(beta: float) -> dict:
+    """Rounding counts of each number of an invariants frame in one system.
+
+    The packet's numbers take MODEL_OPS each from the constants, and the
+    boost 1 more: a product with the Doppler factor, which like gamma depends
+    on beta alone and so rounds alike in every system.  The amplitude takes
+    gamma (E_o - beta E_o) and its hypot, 3 more, and the subtraction
+    magnifies the rounding of beta E_o by |beta|/(1 - beta) < 1/(1 - |beta|).
+    A ratio adds its two numbers' counts and 1."""
+    number, amplitude = MODEL_OPS + 1, MODEL_OPS + 3 + 1.0 / (1.0 - abs(beta))
+    return {"omega": number, "energy": number, "volume": number, "e_o": amplitude,
+            "c1": amplitude + number + 1, "c2": 2 * number + 1, "c3": 2 * number + 1}
+
+
+def _drift_ops(beta: float) -> float:
+    """Roundings of one system's drift at beta that another system does not
+    share: the amplitude's 3 and its magnification, omega's Doppler product,
+    c1 before and after the boost, and their quotient (its - 1 is exact);
+    c2's and c3's drifts take 5, as no subtraction magnifies them."""
+    return 3 + 1.0 / (1.0 - abs(beta)) + 4
+
+
+@given(SCALE, SCALE, SCALE, st.floats(-0.999999, 0.999999))
+def test_invariants_frames_scale_by_their_dimension(a, b, t, beta):
+    grid = DEFAULT_BETA_GRID + (beta,)
+    args = argparse.Namespace(format="json", beta_grid=grid)
+    here, there = (json.loads(_COMMANDS["invariants"][1](args, k)[0])
+                   for k in (K, _scaled(a, b, t)))
+    for old, new in zip(here["frames"], there["frames"]):
+        assert old.keys() == FRAME_UNITS.keys()
+        assert new["beta"] == old["beta"]
+        for name, ops in _frame_ops(old["beta"]).items():
+            power = _dimension(FRAME_UNITS[name])
+            _close(name, new[name], old[name], power, a, b, t, 2 * ops + INPUT_OPS)
+    # rounding noise, so compared absolutely: both drifts hold the same
+    # beta-only roundings, and each its own
+    bound = 2 * max(map(_drift_ops, grid)) * U
+    assert abs(there["max_deviation"] - here["max_deviation"]) <= bound
+    assert there["pass"] == here["pass"]
