@@ -76,50 +76,38 @@ def test_boost_refuses_a_packet_whose_volume_ratio_underflows():
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.6])
-def test_boost_refuses_a_subnormal_ratio_naming_the_callers_packet(beta):
-    # c1 = 5e-324 rounds coarsely: at 0.5 the drift read 1.0, at 0.6 the
-    # boosted amplitude 0.0 was refused as if the caller had passed it
-    packet = WavePacket(5e-324, 1.0, 1.0, 1.0)
-    with pytest.raises(DomainError, match="subnormal") as refused:
-        boost_packet(packet, beta)
-    assert f"{packet} at beta {beta} " in str(refused.value)
-
-
-@pytest.mark.parametrize("beta", [0.0, 0.5])
 @pytest.mark.parametrize("packet", [
+    WavePacket(5e-324, 1.0, 1.0, 1.0),
     WavePacket(1e-320, 1e-20, 1.0, 1.0),
     WavePacket(1.0, 1e-20, 1e-310, 1.0),
-    WavePacket(5e-324, 1e-290, 1e-300, 1.0),
-], ids=["e_o", "energy", "e_o-0.0-when-halved"])
-def test_boost_refuses_a_subnormal_number_though_every_ratio_is_normal(packet, beta):
-    # the ratios are computed from coarsely rounded numbers: at 0.5 the
-    # first packet's drift read 3.8e-4, the second's 1.9e-14
+], ids=["c1", "e_o", "energy"])
+def test_boost_refuses_a_subnormal_number_or_ratio_naming_the_callers_packet(packet, beta):
+    # its rounding is coarse: with c1 = 5e-324 the drift read 1.0 at 0.5, and
+    # at 0.6 the boosted amplitude 0.0 was refused as if the caller had passed
+    # it; with every ratio normal, e_o = 1e-320 read 3.8e-4 at 0.5, energy
+    # 1e-310 read 1.9e-14
     with pytest.raises(DomainError, match="subnormal") as refused:
         boost_packet(packet, beta)
     assert f"a number or ratio of {packet} at beta {beta} " in str(refused.value)
 
 
-def test_boost_refuses_a_ratio_that_underflows_in_the_boost():
-    # c1 = E_o/omega is the smallest normal double before the boost; at 0.4
-    # every primed number is normal, and c1' rounds one step below it
-    packet = WavePacket(3.0 * sys.float_info.min, 3.0, 1.0, 1.0)
+@pytest.mark.parametrize("packet,beta", [
+    # c1 = E_o/omega is the smallest normal double, and c1' rounds one step
+    # below it while every primed number is normal
+    (WavePacket(3.0 * sys.float_info.min, 3.0, 1.0, 1.0), 0.4),
+    # the energy 3e-308 times the Doppler factor 3^-1/2 is 1.7e-308
+    (WavePacket(1.0, 1e-20, 3e-308, 1.0), 0.5),
+], ids=["ratio", "number"])
+def test_boost_refuses_a_number_or_ratio_that_underflows_in_the_boost(packet, beta):
+    # every number and ratio is normal before the boost
     with pytest.raises(DomainError, match="subnormal") as refused:
-        boost_packet(packet, 0.4)
-    assert f"{packet} boosted at beta 0.4 " in str(refused.value)
-
-
-def test_boost_refuses_a_number_that_underflows_in_the_boost():
-    # every number and ratio is normal before the boost; at 0.5 the energy
-    # 3e-308 times the Doppler factor 3^-1/2 is 1.7e-308, a subnormal
-    packet = WavePacket(1.0, 1e-20, 3e-308, 1.0)
-    with pytest.raises(DomainError, match="subnormal") as refused:
-        boost_packet(packet, 0.5)
-    assert f"{packet} boosted at beta 0.5 " in str(refused.value)
+        boost_packet(packet, beta)
+    assert f"{packet} boosted at beta {beta} " in str(refused.value)
 
 
 def test_boost_takes_a_packet_whose_photon_energy_underflows():
-    # hbar omega = 1e-327 is 0.0 in double precision, and energy over
-    # hbar omega divided by it; energy follows the Doppler factor directly
+    # hbar omega = 1e-327 underflows to 0.0, so a photon-count route would
+    # divide by zero; energy follows the Doppler factor, volume its inverse
     primed, _, drift = boost_packet(WavePacket(1.0, 1e-300, 1.0, 1e300), 0.5)
     doppler = math.sqrt(1.0 / 3.0)
     assert abs(primed.energy / doppler - 1.0) < 1e-15

@@ -7,10 +7,10 @@ alpha_exp is a pure number.  Every number that `constants`, `photon`,
 `semiphoton` and `dispersion` print must then scale by a^p b^q t^r, with
 (p, q, r) read from the unit the table prints beside it (cli._UNITS; a
 row without a unit is a pure number and must stay the same), and so must
-every number of an `invariants` frame, by the unit FRAME_UNITS gives it.  A value
-test that derives its expectation from the same closed form as the code
-cannot see a misplaced c or hbar, nor a wrong printed unit; here either
-moves an output away from its unit's power of a, b or t.
+every number of an `invariants` frame, by the unit FRAME_UNITS gives it.
+A value test that derives its expectation from the same closed form as
+the code cannot see a misplaced c or hbar, nor a wrong printed unit; here
+either moves an output away from its unit's power of a, b or t.
 
 The factors span 1e-20 to 1e27, where no overflow guard fires: the
 guards keep tests of their own.  Each bound is a first-order count of
@@ -220,7 +220,7 @@ def _drift_ops(beta: float) -> float:
     share: the amplitude's 3 and its magnification, omega's Doppler product,
     c1 before and after the boost, and their quotient (its - 1 is exact);
     c2's and c3's drifts take 5, as no subtraction magnifies them."""
-    return 3 + 1.0 / (1.0 - abs(beta)) + 4
+    return 7 + 1.0 / (1.0 - abs(beta))
 
 
 @given(SCALE, SCALE, SCALE, st.floats(-0.999999, 0.999999))
