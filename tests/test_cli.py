@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -285,6 +286,35 @@ def test_fields_csv_bytes_are_pinned(capsys, kind, samples, amplitude):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == FIELDS_SHA256[kind, samples, amplitude]
+
+
+# invariants over three seeded 500-beta grids in (-0.99, 0.99), each with
+# both signed zeros, both signs of a tiny beta and both signs of one near c
+EDGE_BETAS = (0.0, -0.0, 1e-300, -1e-300, 0.999999, -0.999999)
+INVARIANTS_SHA256 = {
+    (1, "json"): (0, "11e2e985508e6c7a2a5e04b863ce5a09270c2287d08a3430b61fbe12f44a1a55"),
+    (1, "table"): (0, "25c966d775104c455b9fc11617c2893c0d51832c91e208d3ab70faccb2e7c408"),
+    (2, "json"): (0, "79a5c574ff753e2369fe11fec52c7138b0d28b72ab25a90e0a327f2f2a33db4d"),
+    (2, "table"): (0, "6d62e5749bd9326f216e2e219e16b423427f6c05706145dafab6c3f306a1337b"),
+    (3, "json"): (0, "881bf4d611522654b87599e32ca21f40436a5807d6200e5cf3b8e1bec0c3ddfd"),
+    (3, "table"): (0, "422b364304abcdd83d613f99c07381167b696c057eed0bd70e8933e497252840"),
+}
+
+
+def _seeded_beta_grid(seed: int) -> str:
+    rng = random.Random(seed)
+    betas = [rng.uniform(-0.99, 0.99) for _ in range(500 - len(EDGE_BETAS))]
+    for beta in EDGE_BETAS:
+        betas.insert(rng.randrange(len(betas) + 1), beta)
+    return ",".join(map(repr, betas))
+
+
+@pytest.mark.parametrize("seed,fmt", INVARIANTS_SHA256)
+def test_invariants_bytes_are_pinned(capsys, seed, fmt):
+    argv = ["invariants", "--beta-grid=" + _seeded_beta_grid(seed), "--format", fmt]
+    code, out, _ = run_cli(capsys, argv)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == INVARIANTS_SHA256[seed, fmt]
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
