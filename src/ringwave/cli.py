@@ -86,17 +86,29 @@ def _plain(text: str) -> bool:
     return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
 
 
+@functools.cache
+def _object(keys: tuple[str, ...], nl: str) -> str:
+    """A JSON object of keys with '%s' for each value, built once per (keys, nl):
+    the commands write a fixed set of record shapes, so the cache stays small."""
+    if not _plain("".join(keys)):  # one check for all the keys
+        keys = [_json(key, nl)[1:-1] for key in keys]
+    inner = nl + "  "
+    return "{" + inner + f",{inner}".join(
+        [f'"{key.replace("%", "%%")}": %s' for key in keys]) + nl + "}"
+
+
 def _json(obj, nl: str) -> str:
     """obj as JSON; nl opens each of its nested lines (a newline and the indent)."""
     inner = nl + "  "
     if not obj and isinstance(obj, (dict, list, tuple)):
         return "{}" if isinstance(obj, dict) else "[]"
-    if isinstance(obj, dict):  # one check for all the keys, a float value inline
-        keys = obj if _plain("".join(obj)) else [_json(key, nl)[1:-1] for key in obj]
-        return "{" + inner + f",{inner}".join([
-            f'"{key}": {value!r}' if type(value) is float and math.isfinite(value)
-            else f'"{key}": {_json(value, inner)}'
-            for key, value in zip(keys, obj.values())]) + nl + "}"
+    if isinstance(obj, dict):
+        template = _object(tuple(obj), nl)
+        values = tuple(obj.values())
+        # %s of a float is float.__repr__, as json writes it
+        if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
+            values = tuple([_json(value, inner) for value in values])
+        return template % values
     if isinstance(obj, (list, tuple)):
         return "[" + inner + f",{inner}".join([_json(v, inner) for v in obj]) + nl + "]"
     if isinstance(obj, str):
@@ -138,10 +150,8 @@ _beta_arg = _ranged(float, -1, 1, "()")
 
 
 def _beta_grid_arg(text: str) -> tuple[float, ...]:
-    betas = tuple(_beta_arg(part) for part in text.split(",") if part.strip() != "")
-    if not betas:
-        raise argparse.ArgumentTypeError("beta grid must not be empty")
-    return betas
+    """Every comma-separated entry is a beta: a blank one is not a number."""
+    return tuple(map(_beta_arg, text.split(",")))
 
 
 def _subparser(chosen: str | None, **kwargs) -> argparse.ArgumentParser | None:

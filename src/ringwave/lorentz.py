@@ -46,18 +46,6 @@ class WavePacket(_Record):
         _require_number(self.volume, "packet volume")
 
 
-def _dot(u: _Vec3, v: _Vec3) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _cross(u: _Vec3, v: _Vec3) -> _Vec3:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def boost_plane_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
     """Transform E and H into a frame moving at beta (units of c).
 
@@ -66,17 +54,24 @@ def boost_plane_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
     Refuses |beta| >= 1, a NaN beta, and any E' or H' that is not
     finite: a NaN or infinite input gives one, and so does an overflow.
     """
-    b2 = _dot(beta, beta)
+    # by component, in the vector law's order of operations: each dot product
+    # sums left to right, each cross component is one difference of products
+    ex, ey, ez = e
+    hx, hy, hz = h
+    bx, by, bz = beta
+    b2 = bx * bx + by * by + bz * bz
     if not b2 < 1.0:  # also a NaN beta
         raise DomainError(f"|beta| must be a finite number below 1, got {beta}")
     gamma = 1.0 / math.sqrt(1.0 - b2)
     coef = gamma * gamma / (gamma + 1.0)
-    b_x_h = _cross(beta, h)
-    b_x_e = _cross(beta, e)
-    b_e = coef * _dot(beta, e)
-    b_h = coef * _dot(beta, h)
-    e_prime = tuple([gamma * (e[i] + b_x_h[i]) - b_e * beta[i] for i in range(3)])
-    h_prime = tuple([gamma * (h[i] - b_x_e[i]) - b_h * beta[i] for i in range(3)])
+    b_e = coef * (bx * ex + by * ey + bz * ez)
+    b_h = coef * (bx * hx + by * hy + bz * hz)
+    e_prime = (gamma * (ex + (by * hz - bz * hy)) - b_e * bx,
+               gamma * (ey + (bz * hx - bx * hz)) - b_e * by,
+               gamma * (ez + (bx * hy - by * hx)) - b_e * bz)
+    h_prime = (gamma * (hx - (by * ez - bz * ey)) - b_h * bx,
+               gamma * (hy - (bz * ex - bx * ez)) - b_h * by,
+               gamma * (hz - (bx * ey - by * ex)) - b_h * bz)
     if not all(map(math.isfinite, e_prime + h_prime)):
         raise DomainError(f"boosted fields are not finite: E' = {e_prime}, H' = {h_prime}")
     return e_prime, h_prime
@@ -107,5 +102,6 @@ def boost_packet(p: WavePacket, beta: float
     if min(*primed, *after) < sys.float_info.min:
         raise DomainError(f"a number or ratio of {p} boosted at beta {beta} underflows to 0.0"
                           f" or a subnormal: {primed}, ratios {after}")
-    drift = max([abs(a / b - 1.0) for a, b in zip(after, before)])
+    drift = max(abs(after[0] / before[0] - 1.0), abs(after[1] / before[1] - 1.0),
+                abs(after[2] / before[2] - 1.0))
     return WavePacket(*primed), after, drift

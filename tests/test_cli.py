@@ -56,6 +56,10 @@ def test_usage_errors_exit_2(capsys):
         ["invariants", "--beta-grid", "0.5,1.5"],
         ["invariants", "--beta-grid", "0.5,-1"],
         ["invariants", "--beta-grid", ",,"],
+        ["invariants", "--beta-grid", "0.5,,0.3"],
+        ["invariants", "--beta-grid", "0.5,"],
+        ["invariants", "--beta-grid", ",0.5"],
+        ["invariants", "--beta-grid", ""],
         ["consistency", "--panels", "0"],
         ["consistency", "--zeta", "0"],
         ["consistency", "--zeta", "1.5"],

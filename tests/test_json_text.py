@@ -59,23 +59,33 @@ class Metres(float):
 @example({"level": Level.HIGH, "length": Metres(1.5), "list": [Level.HIGH, Metres(-0.0)]})
 @example(0.5)
 @example("sign")
+# each object is written from a template cached by its keys and its depth:
+# one key set at two depths, a key set met float-only and then with other
+# values, and float-only objects whose keys need escaping in json or in %
+@example([{"x": 0.5, "y": -0.0}, [{"x": 1e-300, "y": 5e-324}], {"z": {"x": 1.5, "y": 2.5}}])
+@example([{"beta": 0.5, "c1": 0.25}, {"beta": 1, "c1": 0.25}, {"beta": None, "c1": 0.25},
+          {"beta": Metres(0.5), "c1": 0.25}, {"beta": 0.5, "c1": 0.25}])
+@example({"é": 0.5, '"': -0.0, "\\": 1e308, "\t": 5e-324, "\U0001f600": 0.1})
+@example({"%": 0.5, "%r": -0.0, "100%s": 1e-300, "%%": 2.5})
 def test_json_text_is_json_dumps_with_indent_2(document):
     assert _json_text(document) == json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
 @given(
     st.sampled_from(OUT_OF_RANGE),
-    st.lists(st.sampled_from(["list", "tuple", "dict"]), max_size=6),
+    st.lists(st.sampled_from(["list", "tuple", "dict", "twin"]), max_size=6),
     KEYS,
 )
 @example(math.nan, [], "")
 @example(math.inf, ["dict", "list"], "frames")
 @example(-math.inf, ["tuple", "dict", "dict"], "\x7f")
+@example(math.nan, ["twin"], "beta")  # its key set is met float-only first
 def test_nan_and_infinities_raise_at_any_depth(bad, nesting, key):
     document = bad
     for kind in nesting:  # each level has a finite sibling before or after
         document = {"list": [0.5, document], "tuple": (document, 1),
-                    "dict": {"x": 1.5, key: document}}[kind]
+                    "dict": {"x": 1.5, key: document},
+                    "twin": [{"x": 1.5, key: 0.5}, {"x": 1.5, key: document}]}[kind]
     with pytest.raises(EvaluationError) as raised:
         _json_text(document)
     message = f"Out of range float values are not JSON compliant: {bad!r}"

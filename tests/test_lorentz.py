@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ringwave import (
     DomainError,
@@ -199,6 +201,76 @@ def test_boost_plane_fields_returns_float_tuples():
     # the Doppler factor at beta = 0.6 is exactly 1/2
     assert abs(e_p[1] / (0.5 * AMP) - 1.0) < 1e-15
     assert abs(h_p[2] / (0.5 * AMP) - 1.0) < 1e-15
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def reference_boost_plane_fields(e, h, beta):
+    """The field-transformation law by vector operations: the oracle that
+    lorentz.boost_plane_fields, written out by component, must match bit
+    for bit, refusals included."""
+    b2 = _dot(beta, beta)
+    if not b2 < 1.0:
+        raise DomainError(f"|beta| must be a finite number below 1, got {beta}")
+    gamma = 1.0 / math.sqrt(1.0 - b2)
+    coef = gamma * gamma / (gamma + 1.0)
+    b_x_h = _cross(beta, h)
+    b_x_e = _cross(beta, e)
+    b_e = coef * _dot(beta, e)
+    b_h = coef * _dot(beta, h)
+    e_prime = tuple([gamma * (e[i] + b_x_h[i]) - b_e * beta[i] for i in range(3)])
+    h_prime = tuple([gamma * (h[i] - b_x_e[i]) - b_h * beta[i] for i in range(3)])
+    if not all(map(math.isfinite, e_prime + h_prime)):
+        raise DomainError(f"boosted fields are not finite: E' = {e_prime}, H' = {h_prime}")
+    return e_prime, h_prime
+
+
+EDGE_FIELDS = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e300, -1e300, AMP]
+EDGE_BETAS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.6, -0.999999999, 0.999999999]
+# vectors whose sums of products round differently in another order
+CLOSE_FIELDS = [0.0, 1.0, -2.0, 2e-16, -3e-16]
+CLOSE_BETAS = [0.0, 0.5, -0.5, 0.25]
+
+
+def _vectors(edges, close, floats):
+    return st.one_of(st.tuples(*[st.sampled_from(close)] * 3),
+                     st.tuples(*[st.one_of(st.sampled_from(edges), floats)] * 3))
+
+
+FIELD_VECTORS = _vectors(EDGE_FIELDS, CLOSE_FIELDS,
+                         st.floats(allow_nan=False, allow_infinity=False))
+BETA_VECTORS = _vectors(EDGE_BETAS, CLOSE_BETAS,
+                        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@given(FIELD_VECTORS, FIELD_VECTORS, BETA_VECTORS)
+@example((0.0, AMP, 0.0), (0.0, 0.0, AMP), (0.999999999, 0.0, 0.0))
+@example((-0.0, 1e300, 5e-324), (1e-300, -0.0, -1e300), (0.0, -0.0, -0.6))
+@example((1.0, 2.0, 3.0), (-3.0, 0.5, 5e-324), (0.1, -0.2, 0.3))
+# beta . E (then beta . H) is 0.0 summed left to right, 1.1e-16 in any other order
+@example((2.0, 2e-16, -2.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
+@example((0.0, 0.0, 0.0), (2.0, 2e-16, -2.0), (0.5, 0.5, 0.5))
+@example((1e300, 0.0, 0.0), (0.0, 1e300, 0.0), (0.0, 0.0, -0.999999999))  # overflows
+@example((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.6, 0.6, 0.6))  # |beta| > 1
+def test_boost_plane_fields_is_the_vector_law_bit_for_bit(e, h, beta):
+    try:
+        expected = reference_boost_plane_fields(e, h, beta)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as refused:
+            boost_plane_fields(e, h, beta)
+        assert str(refused.value) == str(exc)
+        return
+    assert repr(boost_plane_fields(e, h, beta)) == repr(expected)
 
 
 def test_boost_packet_calls_the_public_field_law_once_per_moving_frame(monkeypatch):
