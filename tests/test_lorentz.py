@@ -257,10 +257,10 @@ BETA_VECTORS = _vectors(EDGE_BETAS, CLOSE_BETAS,
 @example((0.0, AMP, 0.0), (0.0, 0.0, AMP), (0.999999999, 0.0, 0.0))
 @example((-0.0, 1e300, 5e-324), (1e-300, -0.0, -1e300), (0.0, -0.0, -0.6))
 @example((1.0, 2.0, 3.0), (-3.0, 0.5, 5e-324), (0.1, -0.2, 0.3))
-# beta . E (then beta . H) is 0.0 summed left to right, 1.1e-16 in any other order
+# beta . E (then beta . H) is 0.0 summed left to right, and not 0.0 in another order
 @example((2.0, 2e-16, -2.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
 @example((0.0, 0.0, 0.0), (2.0, 2e-16, -2.0), (0.5, 0.5, 0.5))
-@example((1e300, 0.0, 0.0), (0.0, 1e300, 0.0), (0.0, 0.0, -0.999999999))  # overflows
+@example((1e308, 0.0, 0.0), (0.0, 1e308, 0.0), (0.0, 0.0, -0.999999999))  # overflows
 @example((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.6, 0.6, 0.6))  # |beta| > 1
 def test_boost_plane_fields_is_the_vector_law_bit_for_bit(e, h, beta):
     try:
