@@ -278,14 +278,14 @@ def _cmd_invariants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str
     packet = WavePacket(amp, photon.omega_p, photon.energy, photon.volume)
     frames = []
     deviations = []
-    for beta in args.beta_grid:
-        prim, (c1, c2, c3), drift = boost_packet(packet, beta)
+    for beta, ((e_o, omega, energy, volume), (c1, c2, c3), drift) in zip(
+            args.beta_grid, boost_packet(packet, args.beta_grid)):
         frames.append({
             "beta": beta,
-            "omega": prim.omega,
-            "e_o": prim.e_o,
-            "energy": prim.energy,
-            "volume": prim.volume,
+            "omega": omega,
+            "e_o": e_o,
+            "energy": energy,
+            "volume": volume,
             "c1": c1,
             "c2": c2,
             "c3": c3,
@@ -312,7 +312,7 @@ def _cmd_invariants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str
 
 
 def _cmd_fields(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:
-    from .fields import _grid, _point, twirled_field
+    from .fields import _grid, _points, twirled_field
     from .geometry import ring_from_radius
     from .model import semi_photon_model
 
@@ -321,8 +321,8 @@ def _cmd_fields(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, in
     amp = model.e_o if args.amplitude is None else args.amplitude
     cfg = twirled_field(args.kind, amp, ring)
     lines = ["l,x,y,z,Ex,Ey,Ez,Hx,Hy,Hz,jn,jtau"]
-    for l in _grid(cfg, args.samples):
-        x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
+    ls = _grid(cfg, args.samples)
+    for l, (x, y, ex, ey, hz, jn, jtau) in zip(ls, _points(cfg, ls)):
         lines.append(_CSV_ROW % (l + 0.0, x + 0.0, y + 0.0, ex + 0.0, ey + 0.0,
                                  hz + 0.0, jn + 0.0, jtau + 0.0))
     return "\n".join(lines) + "\n", 0

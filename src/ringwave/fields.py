@@ -21,6 +21,7 @@ the one the finite-difference oracles in the tests differentiate.
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 from .errors import _DERIVED, DomainError, _Record, _require_count, _require_number, _Vec3
 from .geometry import RingGeometry, _outward
@@ -84,12 +85,7 @@ def amplitude_at(cfg: FieldConfiguration, l: float) -> float:
     circumference.
     """
     theta = _ring_phase(cfg, l)
-    return 0.0 if theta is None else _envelope(cfg, theta)
-
-
-def _envelope(cfg: FieldConfiguration, theta: float) -> float:
-    """a = sign * E_o cos(theta) at ring phase theta."""
-    return cfg.sign * cfg.e_o * math.cos(theta)
+    return 0.0 if theta is None else cfg.sign * cfg.e_o * math.cos(theta)
 
 
 def _ring_phase(cfg: FieldConfiguration, l: float) -> float | None:
@@ -109,24 +105,29 @@ def _ring_phase(cfg: FieldConfiguration, l: float) -> float | None:
     return ring.K * lw
 
 
-def _point(cfg: FieldConfiguration, l: float) -> tuple[float, ...]:
-    """x, y, Ex, Ey, Hz, jn, jtau at arc length l, as floats.
+def _points(cfg: FieldConfiguration, ls: Iterable[float]) -> Iterator[tuple[float, ...]]:
+    """x, y, Ex, Ey, Hz, jn, jtau at each arc length of ls, as floats, one
+    row yielded per l, so a caller holds only the rows it keeps.
 
-    The one evaluation behind field_at, displacement_current and the
-    `fields` CSV; those two give the physics.  _outward refuses a
-    non-finite l before _ring_phase needs to.
+    The one evaluation behind field_at, sample_grid, displacement_current
+    and the `fields` CSV.  The envelope's coefficients are computed once
+    per call, in the one-point order of operations, so a row does not
+    depend on the rest of ls; _outward refuses a non-finite l first.
     """
     ring = cfg.geometry
-    cp, sp = _outward(ring, l)
-    theta = _ring_phase(cfg, l)
-    a = da_dt = 0.0
-    if theta is not None:
-        a = _envelope(cfg, theta)
-        # envelope rate seen by the moving point: c a'(l)
-        da_dt = -cfg.sign * cfg.e_o * ring.omega_K * math.sin(theta)
+    r_k = ring.r_k
+    amp = cfg.sign * cfg.e_o  # a = amp cos(theta), as in amplitude_at
+    rate = -cfg.sign * cfg.e_o * ring.omega_K
     inv4pi = 1.0 / (4.0 * math.pi)
-    return (ring.r_k * cp, ring.r_k * sp, a * cp, a * sp, -a,
-            -inv4pi * da_dt, inv4pi * ring.omega_K * a)
+    radial, curvature = -inv4pi, inv4pi * ring.omega_K
+    for l in ls:
+        cp, sp = _outward(ring, l)
+        theta = _ring_phase(cfg, l)
+        a = da_dt = 0.0
+        if theta is not None:
+            a = amp * math.cos(theta)
+            da_dt = rate * math.sin(theta)  # c a'(l): the envelope rate seen by the moving point
+        yield r_k * cp, r_k * sp, a * cp, a * sp, -a, radial * da_dt, curvature * a
 
 
 def _grid(cfg: FieldConfiguration, n: int) -> list[float]:
@@ -145,13 +146,14 @@ def field_at(cfg: FieldConfiguration, l: float) -> tuple[_Vec3, _Vec3]:
     along the direction of travel and |E| = |H| holds pointwise.  In the
     ring plane tau x r_out = -z, so H = -a(l) z.
     """
-    _, _, ex, ey, hz, _, _ = _point(cfg, l)
+    [(_, _, ex, ey, hz, _, _)] = _points(cfg, (l,))
     return (ex, ey, 0.0), (0.0, 0.0, hz)
 
 
 def sample_grid(cfg: FieldConfiguration, n: int) -> list[tuple[float, _Vec3, _Vec3]]:
     """(l, E, H) at n equally spaced arc lengths over the support, ends included."""
-    return [(l, *field_at(cfg, l)) for l in _grid(cfg, n)]
+    ls = _grid(cfg, n)
+    return [(l, (r[2], r[3], 0.0), (0.0, 0.0, r[4])) for l, r in zip(ls, _points(cfg, ls))]
 
 
 def displacement_current(cfg: FieldConfiguration, l: float) -> tuple[float, float]:
@@ -168,7 +170,7 @@ def displacement_current(cfg: FieldConfiguration, l: float) -> tuple[float, floa
     radial rate of the envelope, the second the curvature (ring
     current) term.  Both vanish outside the support.
     """
-    return _point(cfg, l)[5:]
+    return next(_points(cfg, (l,)))[5:]
 
 
 def charge_density(cfg: FieldConfiguration, l: float) -> float:

@@ -11,7 +11,8 @@ keep their unboosted values by algebra, and their drift is rounding
 only.  Open item 4 of ROADMAP.md plans routes of their own for them,
 and a gate that holds closer than ~1e-8 to beta = +1, where it fails.
 A number or ratio that is subnormal, before or after the boost, is
-refused: its coarse rounding would read as drift.
+refused: its coarse rounding would read as drift.  boost_packet boosts a
+whole grid of betas, each alone: a frame does not depend on the others.
 
 A packet travels along +x, E along +y and H along +z, and is boosted
 along x: positive beta means the new frame recedes from the wave
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import Iterable
 
 from .errors import DomainError, _Record, _require_number, _Vec3
 from .model import _ratios
@@ -40,7 +42,7 @@ class WavePacket(_Record):
     volume: float
 
     def __post_init__(self) -> None:
-        _require_number(self.e_o, "packet e_o")  # four calls: boost_packet builds one per beta
+        _require_number(self.e_o, "packet e_o")
         _require_number(self.omega, "packet omega")
         _require_number(self.energy, "packet energy")
         _require_number(self.volume, "packet volume")
@@ -77,31 +79,35 @@ def boost_plane_fields(e: _Vec3, h: _Vec3, beta: _Vec3) -> tuple[_Vec3, _Vec3]:
     return e_prime, h_prime
 
 
-def boost_packet(p: WavePacket, beta: float
-                 ) -> tuple[WavePacket, tuple[float, float, float], float]:
-    """Boost the packet at beta in (-1, 1) along x: (primed packet, its ratios (c1, c2, c3),
-    their worst drift |a/b - 1| from the packet's own).  Refuses a number or ratio, before
-    or after the boost, that is 0.0 or subnormal, whose rounding is coarse."""
-    _require_number(beta, "beta", -1.0, 1.0)
-    numbers = (p.e_o, p.omega, p.energy, p.volume)  # a WavePacket's numbers are checked
+def boost_packet(p: WavePacket, betas: Iterable[float]
+                 ) -> list[tuple[tuple[float, ...], tuple[float, float, float], float]]:
+    """Boost the packet along x at each beta in (-1, 1): per beta, (the primed (e_o, omega,
+    energy, volume), their ratios (c1, c2, c3), the ratios' worst drift |a/b - 1| from the
+    packet's own).  Refuses a number or ratio that is 0.0 or subnormal, whose rounding is
+    coarse: the packet's once per call, even for no beta, and a primed one at its beta."""
+    e_o, omega, energy, volume = numbers = (p.e_o, p.omega, p.energy, p.volume)  # checked
     before = _ratios(*numbers)
-    if min(*numbers, *before) < sys.float_info.min:  # every beta: the drift divides by each ratio
-        raise DomainError(f"a number or ratio of {p} at beta {beta} underflows to 0.0"
+    if min(*numbers, *before) < sys.float_info.min:  # the drift divides by each ratio
+        raise DomainError(f"a number or ratio of {p} underflows to 0.0"
                           f" or a subnormal: ratios {before}")
-    if beta == 0.0:
-        return p, before, 0.0
-
-    # field-transformation route for the amplitude; |H'| = |E'| is tested, not used
-    e_prime, _ = boost_plane_fields((0.0, p.e_o, 0.0), (0.0, 0.0, p.e_o), (beta, 0.0, 0.0))
-    e_o_prime = math.hypot(*e_prime)  # E'.E' would over- or underflow first
-
-    doppler = math.sqrt((1.0 - beta) / (1.0 + beta))
-    # photon and wavelength counts are frame-invariant: energy follows omega, volume lambda
-    primed = (e_o_prime, p.omega * doppler, p.energy * doppler, p.volume / doppler)
-    after = _ratios(*primed)
-    if min(*primed, *after) < sys.float_info.min:
-        raise DomainError(f"a number or ratio of {p} boosted at beta {beta} underflows to 0.0"
-                          f" or a subnormal: {primed}, ratios {after}")
-    drift = max(abs(after[0] / before[0] - 1.0), abs(after[1] / before[1] - 1.0),
-                abs(after[2] / before[2] - 1.0))
-    return WavePacket(*primed), after, drift
+    e, h = (0.0, e_o, 0.0), (0.0, 0.0, e_o)  # a packet along +x: E along +y, H along +z
+    reports = []
+    for beta in betas:
+        _require_number(beta, "beta", -1.0, 1.0)
+        if beta == 0.0:
+            reports.append((numbers, before, 0.0))
+            continue
+        # field-transformation route for the amplitude; |H'| = |E'| is tested, not used
+        e_prime, _ = boost_plane_fields(e, h, (beta, 0.0, 0.0))
+        e_o_prime = math.hypot(*e_prime)  # E'.E' would over- or underflow first
+        doppler = math.sqrt((1.0 - beta) / (1.0 + beta))
+        # photon and wavelength counts are frame-invariant: energy follows omega, volume lambda
+        primed = (e_o_prime, omega * doppler, energy * doppler, volume / doppler)
+        after = _ratios(*primed)
+        if min(*primed, *after) < sys.float_info.min:
+            raise DomainError(f"a number or ratio of {p} boosted at beta {beta} underflows"
+                              f" to 0.0 or a subnormal: {primed}, ratios {after}")
+        drift = max(abs(after[0] / before[0] - 1.0), abs(after[1] / before[1] - 1.0),
+                    abs(after[2] / before[2] - 1.0))
+        reports.append((primed, after, drift))
+    return reports

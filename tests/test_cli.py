@@ -521,9 +521,9 @@ def test_invariants_gate_fails_on_nan_deviation(capsys, monkeypatch):
 
     real = lorentz.boost_packet
 
-    def nan_at_first_beta(packet, beta):
-        primed, invariants, drift = real(packet, beta)
-        return primed, invariants, math.nan if beta == -0.5 else drift
+    def nan_at_first_beta(packet, betas):
+        return [(primed, invariants, math.nan if beta == -0.5 else drift)
+                for beta, (primed, invariants, drift) in zip(betas, real(packet, betas))]
 
     monkeypatch.setattr(lorentz, "boost_packet", nan_at_first_beta)
     grid = "--beta-grid=-0.5,0.5"

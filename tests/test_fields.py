@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ringwave import (
     semi_photon_model,
     twirled_field,
 )
-from ringwave.fields import _grid, _point, amplitude_at
+from ringwave.fields import _grid, _points, amplitude_at
 
 K = codata_constants()
 RING = ring_from_radius(pair_threshold_photon(K).r_p, K.c)
@@ -293,13 +294,12 @@ def test_closed_form_h_matches_cross_product_definition():
 
 
 def test_vector_api_wraps_the_scalar_kernel():
-    # the CSV reads _point; the vector API must give the same numbers,
+    # the CSV reads _points; the vector API must give the same numbers,
     # on and off a semi-photon's support
     for kind in (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS):
         cfg = _cfg(kind)
-        for l in np.linspace(-0.3, 1.3, 97) * LAM:
-            l = float(l)
-            x, y, ex, ey, hz, jn, jtau = _point(cfg, l)
+        ls = (np.linspace(-0.3, 1.3, 97) * LAM).tolist()
+        for l, (x, y, ex, ey, hz, jn, jtau) in zip(ls, _points(cfg, ls)):
             E, H = field_at(cfg, l)
             current = displacement_current(cfg, l)
             position, _, _ = frenet_at(RING, l)
@@ -320,3 +320,37 @@ def test_grid_equals_linspace():
         for n in [*range(2, 65), *range(1900, 2101)]:
             assert _grid(cfg, n) == np.linspace(lo, hi, n).tolist(), (kind, n)
         assert [l for l, _, _ in sample_grid(cfg, 9)] == _grid(cfg, 9)
+
+
+def _support_ends(cfg):
+    """The support's end and its neighbours one ulp either side, whose
+    wrapped arc length past the end is taken by _ring_phase's isclose."""
+    end = cfg.support[1]
+    return [end, math.nextafter(end, math.inf), math.nextafter(end, -math.inf)]
+
+
+def test_each_row_of_a_grid_is_its_one_point_row():
+    # _points computes the envelope's coefficients once per call: a row must not
+    # depend on the rest of the grid or on its place in it
+    for kind in (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS):
+        cfg = _cfg(kind)
+        ls = (np.linspace(-0.3, 1.3, 97) * LAM).tolist() + _support_ends(cfg) + [
+            0.0, -0.0, math.nextafter(0.0, -math.inf), LAM, 2.5 * LAM, -1e-300]
+        random.Random(0).shuffle(ls)
+        rows = list(_points(cfg, ls))
+        assert len(rows) == len(ls)
+        for l, row in zip(ls, rows):
+            assert repr(row) == repr(next(_points(cfg, [l]))), (kind, l)
+    # past the semi-photon's end by one ulp is still on its support
+    semi = _cfg(KIND_SEMI_PLUS)
+    assert [row[4] for row in _points(semi, _support_ends(semi))] == [AMP, AMP, AMP]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_a_refused_arc_length_mid_grid_is_refused_as_alone(bad):
+    cfg = _cfg(KIND_SEMI_PLUS)
+    with pytest.raises(DomainError) as alone:
+        list(_points(cfg, [bad]))
+    with pytest.raises(DomainError) as mid_grid:
+        list(_points(cfg, [0.0, 0.25 * LAM, bad, LAM]))
+    assert str(mid_grid.value) == str(alone.value)

@@ -374,7 +374,7 @@ NUMBER_PARAMETERS = {
     "normal_rate.v": lambda v: normal_rate(RING, v, 0.0),
     "semi_photon_model.zeta": lambda v: semi_photon_model(v, K),
     "vacuum_polarization.alpha_bare": lambda v: vacuum_polarization(v, K),
-    "boost_packet.beta": lambda v: boost_packet(PACKET, v),
+    "boost_packet.beta": lambda v: boost_packet(PACKET, [v]),
     "total_charge.zeta": lambda v: total_charge(SEMI, v, QuadratureSpec(panels=2)),
     "sample_grid.n": lambda v: sample_grid(SEMI, v),
 }

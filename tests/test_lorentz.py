@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -28,6 +29,14 @@ PACKET = WavePacket(
     energy=PHOTON.energy,
     volume=PHOTON.volume,
 )
+NUMBERS = (PACKET.e_o, PACKET.omega, PACKET.energy, PACKET.volume)
+
+
+def _boost(packet, beta):
+    """The one frame of boost_packet over the grid [beta], its primed
+    numbers as a WavePacket."""
+    [(primed, ratios, drift)] = boost_packet(packet, [beta])
+    return WavePacket(*primed), ratios, drift
 
 
 def test_packet_validation():
@@ -41,14 +50,16 @@ def test_packet_validation():
 
 
 def test_zero_boost_is_identity():
-    primed, _, drift = boost_packet(PACKET, 0.0)
-    assert primed == PACKET
-    assert drift == 0.0
+    for beta in (0.0, -0.0):
+        [(primed, ratios, drift)] = boost_packet(PACKET, [beta])
+        assert primed == NUMBERS
+        assert ratios == invariant_constants(*NUMBERS)
+        assert drift == 0.0
 
 
 def test_receding_at_beta_06_halves_frequency():
     # (1 - 0.6)/(1 + 0.6) is exactly 0.25 in binary floating point
-    primed, _, _ = boost_packet(PACKET, 0.6)
+    primed, _, _ = _boost(PACKET, 0.6)
     assert primed.omega == 0.5 * PACKET.omega
     assert abs(primed.energy / (0.5 * PACKET.energy) - 1.0) < 1e-14
     assert abs(primed.volume / (2.0 * PACKET.volume) - 1.0) < 1e-14
@@ -63,10 +74,10 @@ def test_boost_takes_any_amplitude_the_packet_takes(amp):
         packet = WavePacket(amp, PHOTON.omega_p, PHOTON.energy, PHOTON.volume)
         for beta in (0.0, 0.5, -0.5):
             with pytest.raises(DomainError, match="underflows to 0.0"):
-                boost_packet(packet, beta)
+                boost_packet(packet, [beta])
         return
     # E'.E' over- or underflows here; |E'| itself is finite and positive
-    primed, _, drift = boost_packet(WavePacket(amp, 1.0, 1.0, 1.0), 0.6)
+    primed, _, drift = _boost(WavePacket(amp, 1.0, 1.0, 1.0), 0.6)
     assert abs(primed.e_o / (0.5 * amp) - 1.0) < 1e-15
     assert drift < 1e-15
 
@@ -74,7 +85,7 @@ def test_boost_takes_any_amplitude_the_packet_takes(amp):
 def test_boost_refuses_a_packet_whose_volume_ratio_underflows():
     # c3 = volume * omega = 5e-324 * 1e-300 underflows to 0.0
     with pytest.raises(DomainError, match="underflows to 0.0"):
-        boost_packet(WavePacket(1.0, 1e-300, 1.0, 5e-324), 0.5)
+        boost_packet(WavePacket(1.0, 1e-300, 1.0, 5e-324), [0.5])
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.6])
@@ -87,10 +98,10 @@ def test_boost_refuses_a_subnormal_number_or_ratio_naming_the_callers_packet(pac
     # its rounding is coarse: with c1 = 5e-324 the drift read 1.0 at 0.5, and
     # at 0.6 the boosted amplitude 0.0 was refused as if the caller had passed
     # it; with every ratio normal, e_o = 1e-320 read 3.8e-4 at 0.5, energy
-    # 1e-310 read 1.9e-14
+    # 1e-310 read 1.9e-14; the packet is checked once per grid, before any beta
     with pytest.raises(DomainError, match="subnormal") as refused:
-        boost_packet(packet, beta)
-    assert f"a number or ratio of {packet} at beta {beta} " in str(refused.value)
+        boost_packet(packet, [beta])
+    assert f"a number or ratio of {packet} underflows " in str(refused.value)
 
 
 @pytest.mark.parametrize("packet,beta", [
@@ -103,14 +114,14 @@ def test_boost_refuses_a_subnormal_number_or_ratio_naming_the_callers_packet(pac
 def test_boost_refuses_a_number_or_ratio_that_underflows_in_the_boost(packet, beta):
     # every number and ratio is normal before the boost
     with pytest.raises(DomainError, match="subnormal") as refused:
-        boost_packet(packet, beta)
+        boost_packet(packet, [beta])
     assert f"{packet} boosted at beta {beta} " in str(refused.value)
 
 
 def test_boost_takes_a_packet_whose_photon_energy_underflows():
     # hbar omega = 1e-327 underflows to 0.0, so a photon-count route would
     # divide by zero; energy follows the Doppler factor, volume its inverse
-    primed, _, drift = boost_packet(WavePacket(1.0, 1e-300, 1.0, 1e300), 0.5)
+    primed, _, drift = _boost(WavePacket(1.0, 1e-300, 1.0, 1e300), 0.5)
     doppler = math.sqrt(1.0 / 3.0)
     assert abs(primed.energy / doppler - 1.0) < 1e-15
     assert abs(primed.volume * doppler / 1e300 - 1.0) < 1e-15
@@ -118,27 +129,27 @@ def test_boost_takes_a_packet_whose_photon_energy_underflows():
 
 
 def test_approaching_frame_blueshifts():
-    primed, _, _ = boost_packet(PACKET, -0.6)
+    primed, _, _ = _boost(PACKET, -0.6)
     assert primed.omega == 2.0 * PACKET.omega
 
 
 def test_invariants_hold_across_sweep():
-    for beta in (-0.99, -0.9, -0.5, -0.1, 0.1, 0.5, 0.9, 0.99):
-        _, _, drift = boost_packet(PACKET, beta)
+    betas = (-0.99, -0.9, -0.5, -0.1, 0.1, 0.5, 0.9, 0.99)
+    for beta, (_, _, drift) in zip(betas, boost_packet(PACKET, betas)):
         assert drift < 1e-12, beta
 
 
 def test_action_ratio_is_hbar_in_every_frame():
     # energy/omega for a one-photon packet is hbar before and after
-    for beta in (0.0, 0.3, -0.7, 0.95):
-        primed, _, _ = boost_packet(PACKET, beta)
-        assert abs(primed.energy / primed.omega / K.hbar - 1.0) < 1e-14
+    betas = (0.0, 0.3, -0.7, 0.95)
+    for beta, ((_, omega, energy, _), _, _) in zip(betas, boost_packet(PACKET, betas)):
+        assert abs(energy / omega / K.hbar - 1.0) < 1e-14, beta
 
 
 def test_boost_composition():
     b1, b2 = 0.5, 0.3
-    step, _, _ = boost_packet(boost_packet(PACKET, b1)[0], b2)
-    combined, _, _ = boost_packet(PACKET, (b1 + b2) / (1.0 + b1 * b2))
+    step, _, _ = _boost(_boost(PACKET, b1)[0], b2)
+    combined, _, _ = _boost(PACKET, (b1 + b2) / (1.0 + b1 * b2))
     assert abs(step.omega / combined.omega - 1.0) < 1e-12
     assert abs(step.energy / combined.energy - 1.0) < 1e-12
     assert abs(step.volume / combined.volume - 1.0) < 1e-12
@@ -169,9 +180,9 @@ def test_field_transform_longitudinal_component_unchanged():
 
 def test_boost_domain_errors():
     with pytest.raises(DomainError):
-        boost_packet(PACKET, 1.0)
+        boost_packet(PACKET, [1.0])
     with pytest.raises(DomainError):
-        boost_packet(PACKET, -1.5)
+        boost_packet(PACKET, [-1.5])
     with pytest.raises(DomainError):
         boost_plane_fields((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
@@ -182,15 +193,15 @@ def test_sweep_selects_worst_report(capsys):
     assert main(["invariants", "--format", "json",
                  "--beta-grid=" + ",".join(map(str, betas))]) == 0
     swept = json.loads(capsys.readouterr().out)
-    individual = [boost_packet(PACKET, b) for b in betas]
+    individual = boost_packet(PACKET, betas)
     assert swept["max_deviation"] == max(drift for _, _, drift in individual)
-    assert [f["omega"] for f in swept["frames"]] == [p.omega for p, _, _ in individual]
+    assert [f["omega"] for f in swept["frames"]] == [p[1] for p, _, _ in individual]
 
 
 def test_non_finite_beta_is_rejected():
     for beta in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
-            boost_packet(PACKET, beta)
+            boost_packet(PACKET, [beta])
 
 
 def test_boost_plane_fields_returns_float_tuples():
@@ -284,17 +295,16 @@ def test_boost_packet_calls_the_public_field_law_once_per_moving_frame(monkeypat
 
     monkeypatch.setattr(ringwave.lorentz, "boost_plane_fields", counted)
     betas = (-0.9, 0.0, 0.3, 0.0, 0.99)
-    reports = [boost_packet(PACKET, b) for b in betas]
+    reports = boost_packet(PACKET, betas)
     assert calls == [(b, 0.0, 0.0) for b in betas if b != 0.0]
     monkeypatch.undo()
-    assert reports == [boost_packet(PACKET, b) for b in betas]
+    assert reports == boost_packet(PACKET, betas)
 
 
 def test_report_carries_the_invariants_of_the_primed_packet():
-    for beta in (-0.99, -0.6, 0.0, 0.3, 0.6, 0.99):
-        prim, invariants, _ = boost_packet(PACKET, beta)
-        assert invariants == invariant_constants(
-            prim.e_o, prim.omega, prim.energy, prim.volume), beta
+    betas = (-0.99, -0.6, 0.0, 0.3, 0.6, 0.99)
+    for beta, (prim, invariants, _) in zip(betas, boost_packet(PACKET, betas)):
+        assert invariants == invariant_constants(*prim), beta
 
 
 @pytest.mark.parametrize("index", [0, 1, 2], ids=["c1", "c2", "c3"])
@@ -312,6 +322,42 @@ def test_a_wrong_ratio_in_the_moved_frame_shows_in_the_deviation(index, monkeypa
         return tuple(ratios)
 
     monkeypatch.setattr(ringwave.lorentz, "_ratios", skewed)
-    for beta in (-0.9, 0.5):
-        assert abs(boost_packet(PACKET, beta)[2] / 1e-6 - 1.0) < 1e-6
-    assert boost_packet(PACKET, 0.0)[2] == 0.0
+    for _, _, drift in boost_packet(PACKET, (-0.9, 0.5)):
+        assert abs(drift / 1e-6 - 1.0) < 1e-6
+    assert boost_packet(PACKET, [0.0])[0][2] == 0.0
+
+
+# the grid boost reads the packet once per call and boosts each beta alone:
+# a frame must not depend on the rest of the grid or on its place in it
+GRID_EDGE_BETAS = [0.0, -0.0, 0.999999, -0.999999, 5e-324, -1e-300, 0.6, 0.999999999]
+
+
+@given(st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True), max_size=20),
+       st.randoms(use_true_random=False))
+@example([0.5, -0.25], random.Random(0))
+def test_each_frame_of_a_grid_is_its_one_beta_boost(betas, rng):
+    betas = betas + GRID_EDGE_BETAS
+    rng.shuffle(betas)
+    frames = boost_packet(PACKET, betas)
+    assert len(frames) == len(betas)
+    for beta, frame in zip(betas, frames):
+        assert repr(frame) == repr(boost_packet(PACKET, [beta])[0]), beta
+
+
+@pytest.mark.parametrize("packet,bad", [
+    *[(PACKET, beta) for beta in (math.nan, math.inf, -math.inf, 1.0, -1.5, True)],
+    # every number and ratio is normal at beta 0, and the energy underflows at 0.5
+    (WavePacket(1.0, 1e-20, 3e-308, 1.0), 0.5),
+])
+def test_a_refused_beta_mid_grid_is_refused_as_alone(packet, bad):
+    with pytest.raises(DomainError) as alone:
+        boost_packet(packet, [bad])
+    with pytest.raises(DomainError) as mid_grid:
+        boost_packet(packet, [0.0, -0.3, bad, 0.2])
+    assert str(mid_grid.value) == str(alone.value)
+
+
+def test_an_empty_grid_boosts_nothing_but_the_packet_is_still_checked():
+    assert boost_packet(PACKET, []) == []
+    with pytest.raises(DomainError, match="subnormal"):
+        boost_packet(WavePacket(5e-324, 1.0, 1.0, 1.0), [])

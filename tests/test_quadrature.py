@@ -266,6 +266,31 @@ def test_toroidal_volume_element_changes_nothing_measurable():
     assert abs(report.section_factor - 1.0) < 1e-12
 
 
+# the Jacobian integrand (1 + (rho/r_s) cos theta) rho is a sum of products,
+# and the nested rule is a tensor product of one rule, so the nested measure
+# is the separable form Q_rho[rho] Q_theta[1] + Q_rho[rho^2] Q_theta[cos] / r_s
+# up to rounding, which grows with the n = panels x nodes terms of each sum:
+# the premise of a factorised measure (ROADMAP item 2), and its oracle
+SEPARABLE_PANELS = {RULE_GAUSS5: (1, 2, 3, 5, 7, 16, 45, 64),
+                    RULE_MIDPOINT: (1, 2, 3, 5, 7, 16, 45, 64, 300, 410)}
+
+
+@pytest.mark.parametrize("rule", [RULE_GAUSS5, RULE_MIDPOINT])
+@pytest.mark.parametrize("zeta", [1.0, 0.5, 0.1, 1e-3])
+def test_nested_jacobian_measure_is_the_separable_form(zeta, rule):
+    _, _, shape = _electron_setup(zeta)
+    for panels in SEPARABLE_PANELS[rule]:
+        spec = QuadratureSpec(panels, rule, include_toroidal_jacobian=True)
+        q_rho = integrate_line(lambda rho: rho, 0.0, shape.r_c, spec)
+        q_rho2 = integrate_line(lambda rho: rho * rho, 0.0, shape.r_c, spec)
+        q_one = integrate_line(lambda theta: 1.0, 0.0, 2.0 * math.pi, spec)
+        q_cos = integrate_line(math.cos, 0.0, 2.0 * math.pi, spec)
+        separable = q_rho * q_one + q_rho2 * q_cos / shape.r_s
+        n = panels * (len(_GL5_NODES) if rule == RULE_GAUSS5 else 1)
+        gap = abs(section_measure(shape, spec) - separable)
+        assert gap <= 2 * n * 2.0 ** -52 * abs(separable), (panels, gap / abs(separable))
+
+
 def test_thin_torus_limit_trivial():
     model, ring, _ = _electron_setup()
     thin = TorusShape(r_s=model.r_s, r_c=1e-3 * model.r_s)

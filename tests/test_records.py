@@ -202,8 +202,9 @@ def test_boost_packet_tuple_holds_what_boost_report_held():
     photon = pair_threshold_photon(K)
     packet = WavePacket(semi_photon_model(1.0, K).e_o, photon.omega_p, photon.energy,
                         photon.volume)
-    for boost in _held("boost_packet"):
-        primed, invariants, drift = boost_packet(packet, boost["beta"])
-        assert primed.asdict() == boost["primed"], boost
+    held = _held("boost_packet")
+    for boost, (primed, invariants, drift) in zip(
+            held, boost_packet(packet, [boost["beta"] for boost in held])):
+        assert dict(zip(WavePacket.init_fields, primed)) == boost["primed"], boost
         assert invariants == tuple(boost["invariants"]), boost
         assert drift == boost["ratio_deviations"], boost
