@@ -7,8 +7,8 @@ vector along -z, the ring axis, both modulated by the same cos(k l)
 envelope fixed to the ring.  The "semi photon" kinds carry the same
 envelope on half of the ring only and model the electron (plus) and
 positron (minus); the minus kind is the pointwise negation of the
-plus kind.  The charge and mass densities are closed-form scalars of
-arc length.
+plus kind.  The charge and mass densities are closed-form columns
+over the field kernel's rows, read from Hz = -a.
 
 Time derivatives are taken along the material point circulating at
 the wave speed through the static envelope: for a quantity Q(l)
@@ -33,6 +33,7 @@ KIND_SEMI_MINUS = "semiminus"
 
 TWIRLED_KINDS = (KIND_PHOTON, KIND_SEMI_PLUS, KIND_SEMI_MINUS)
 _E_O_SQUARE_MAX = 1.3407807929942596e154  # the largest E_o whose square is finite
+_SUPPORT_ULPS = 4  # how far past either end of its support a wave reaches, in ulps of lambda
 
 
 class FieldConfiguration(_Record):
@@ -78,29 +79,20 @@ def twirled_field(kind: str, e_o: float, ring: RingGeometry) -> FieldConfigurati
     return FieldConfiguration(kind, e_o, ring)
 
 
-def amplitude_at(cfg: FieldConfiguration, l: float) -> float:
-    """Signed radial field amplitude a(l) = sign * E_o cos(k l).
-
-    Zero outside the configured support, after wrapping l by one
-    circumference.
-    """
-    theta = _ring_phase(cfg, l)
-    return 0.0 if theta is None else cfg.sign * cfg.e_o * math.cos(theta)
-
-
 def _ring_phase(cfg: FieldConfiguration, l: float) -> float | None:
-    """Phase k l, l wrapped by one circumference.
-
-    None outside the configured support, which ends at support[1] give
-    or take rounding.  Refuses a NaN or infinite l, which wraps to NaN;
-    a point on the support pays no check for it.
+    """Phase k l of a finite l (_points refuses any other), l wrapped by one
+    circumference.  None outside the configured support, which reaches
+    _SUPPORT_ULPS ulps of the circumference past either end, for rounding:
+    just before the start the phase is k l itself, a little below 0.
     """
-    ring = cfg.geometry
-    lw = l % ring.circumference
-    if not lw <= cfg.support[1]:  # past the support, or NaN
-        if not math.isfinite(l):
-            raise DomainError(f"arc length must be finite: {l}")
-        if not math.isclose(lw, cfg.support[1]):
+    ring, end = cfg.geometry, cfg.support[1]
+    lam = ring.circumference
+    lw = l % lam
+    if lw > end:
+        tol = _SUPPORT_ULPS * math.ulp(lam)
+        if lw >= lam - tol:  # just before the start: l wrapped up by one circumference
+            lw -= lam
+        elif lw > end + tol:
             return None
     return ring.K * lw
 
@@ -109,14 +101,14 @@ def _points(cfg: FieldConfiguration, ls: Iterable[float]) -> Iterator[tuple[floa
     """x, y, Ex, Ey, Hz, jn, jtau at each arc length of ls, as floats, one
     row yielded per l, so a caller holds only the rows it keeps.
 
-    The one evaluation behind field_at, sample_grid, displacement_current
-    and the `fields` CSV.  The envelope's coefficients are computed once
-    per call, in the one-point order of operations, so a row does not
-    depend on the rest of ls; _outward refuses a non-finite l first.
+    The one evaluation behind field_at, sample_grid, displacement_current, the `fields`
+    CSV and the density columns, so the one envelope a = sign E_o cos(k l) = -Hz.  Its
+    coefficients are computed once per call, in the one-point order of operations, so a
+    row does not depend on the rest of ls; _outward refuses a non-finite l first.
     """
     ring = cfg.geometry
     r_k = ring.r_k
-    amp = cfg.sign * cfg.e_o  # a = amp cos(theta), as in amplitude_at
+    amp = cfg.sign * cfg.e_o  # a = amp cos(theta)
     rate = -cfg.sign * cfg.e_o * ring.omega_K
     inv4pi = 1.0 / (4.0 * math.pi)
     radial, curvature = -inv4pi, inv4pi * ring.omega_K
@@ -173,20 +165,28 @@ def displacement_current(cfg: FieldConfiguration, l: float) -> tuple[float, floa
     return next(_points(cfg, (l,)))[5:]
 
 
-def charge_density(cfg: FieldConfiguration, l: float) -> float:
-    """Charge density rho_p(l) = (1/4pi)(omega/c) E(l) = (1/4pi) E(l)/r.
+def _charge_column(cfg: FieldConfiguration, hz: Iterable[float]) -> list[float]:
+    """Charge density rho_p = (1/4pi)(omega/c) a = (1/4pi) a/r at each Hz = -a of
+    _points rows: signed with the field, so it flips every half period."""
+    k = cfg.geometry.K / (4.0 * math.pi)
+    return [k * -h for h in hz]
 
-    Signed with the field, so it flips every half period.
-    """
-    return cfg.geometry.K / (4.0 * math.pi) * amplitude_at(cfg, l)
+
+def _mass_column(cfg: FieldConfiguration, hz: Iterable[float]) -> list[float]:
+    """Mass density rho_eps/c^2 = a^2/4pi/c^2 at each Hz = -a, c the ring's wave speed:
+    the energy density (E^2 + H^2)/8pi is a^2/4pi, as |E| = |H| = |a|.  Refuses, before
+    it reads Hz, an E_o that FieldConfiguration takes but whose square overflows."""
+    if cfg.e_o > _E_O_SQUARE_MAX:
+        raise DomainError(f"energy density overflows at amplitude {cfg.e_o:g}")
+    four_pi, c2 = 4.0 * math.pi, cfg.geometry.c * cfg.geometry.c
+    return [h * h / four_pi / c2 for h in hz]  # Hz^2 = a^2
+
+
+def charge_density(cfg: FieldConfiguration, l: float) -> float:
+    """Charge density at arc length l: _charge_column's one-point case."""
+    return _charge_column(cfg, (row[4] for row in _points(cfg, (l,))))[0]
 
 
 def mass_density(cfg: FieldConfiguration, l: float) -> float:
-    """Mass density rho_eps(l)/c^2 = a(l)^2/4pi/c^2 at the ring's wave speed c:
-    the energy density (E^2 + H^2)/8pi is a(l)^2/4pi, as |E| = |H| = |a(l)|.
-    Refuses an amplitude E_o that FieldConfiguration takes but whose square overflows."""
-    if cfg.e_o > _E_O_SQUARE_MAX:
-        raise DomainError(f"energy density overflows at amplitude {cfg.e_o:g}")
-    a = amplitude_at(cfg, l)
-    c = cfg.geometry.c
-    return a * a / (4.0 * math.pi) / (c * c)
+    """Mass density at arc length l: _mass_column's one-point case."""
+    return _mass_column(cfg, (row[4] for row in _points(cfg, (l,))))[0]

@@ -94,9 +94,6 @@ def boost_packet(p: WavePacket, betas: Iterable[float]
     reports = []
     for beta in betas:
         _require_number(beta, "beta", -1.0, 1.0)
-        if beta == 0.0:
-            reports.append((numbers, before, 0.0))
-            continue
         # field-transformation route for the amplitude; |H'| = |E'| is tested, not used
         e_prime, _ = boost_plane_fields(e, h, (beta, 0.0, 0.0))
         e_o_prime = math.hypot(*e_prime)  # E'.E' would over- or underflow first

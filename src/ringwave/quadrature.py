@@ -4,9 +4,10 @@ Every volume integral of the model factorizes into (cross-section
 measure) x (line integral along the ring), because the densities
 depend on arc length only.  The cross-section measure is S_c = pi
 r_c^2 by default; the exact toroidal volume element can be switched
-on to quantify how little it matters.  total_charge and total_mass
-each compute the measure; consistency_reports computes it once for
-its three reports.
+on to quantify how little it matters.  Each integral is a node list
+(_nodes) and one sum (_sum); a line integral reads both densities from
+one pass of the field kernel per wave, and consistency_reports computes
+one section measure for its three reports.
 
 Where the as-integrated value and the stated closed form disagree by
 a constant factor, both are reported and the closed form stays
@@ -22,8 +23,8 @@ from typing import Callable
 from .errors import (_DERIVED, DomainError, EvaluationError, _Record, _require_count,
                      _require_number)
 from .constants import PhysicalConstants
-from .fields import (KIND_PHOTON, KIND_SEMI_PLUS, FieldConfiguration, charge_density,
-                     mass_density, twirled_field)
+from .fields import (KIND_PHOTON, KIND_SEMI_PLUS, FieldConfiguration, _charge_column,
+                     _mass_column, _points, twirled_field)
 from .geometry import TorusShape, ring_from_radius
 from .model import semi_photon_model
 
@@ -100,38 +101,46 @@ class IntegralReport(_Record):
                            self.value / closed if closed != 0.0 else None)
 
 
-def integrate_line(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec,
-) -> float:
-    """Composite quadrature of f over [a, b], summed left to right."""
+def _nodes(a: float, b: float, spec: QuadratureSpec) -> list[float]:
+    """Every node of the composite rule over [a, b], left to right: the
+    panel midpoints, or each panel's Gauss nodes in turn."""
     if not (a < b and math.isfinite(b - a)):  # refuses NaN and infinite bounds
         raise DomainError(f"need a < b with a finite width, got [{a}, {b}]")
     h = (b - a) / spec.panels
+    mids = [a + i * h + 0.5 * h for i in range(spec.panels)]
+    if spec.rule == RULE_MIDPOINT:
+        return mids
+    offsets = [0.5 * h * node for node in _GL5_NODES]
+    return [mid + offset for mid in mids for offset in offsets]
+
+
+def _sum(a: float, b: float, xs: list[float], fxs: list[float], spec: QuadratureSpec) -> float:
+    """The rule's sum over [a, b] of the values at its nodes, panel by panel, left to right;
+    refuses a non-finite value (naming its node) or sum: either makes the total non-finite."""
+    h = (b - a) / spec.panels
     total = 0.0
-    for i in range(spec.panels):
-        lo = a + i * h
-        if spec.rule == RULE_MIDPOINT:
-            x = lo + 0.5 * h
-            fx = f(x)
-            if not math.isfinite(fx):
-                raise EvaluationError(f"integrand not finite at l = {x}")
+    if spec.rule == RULE_MIDPOINT:
+        for fx in fxs:
             total += fx * h
-        else:
-            mid = lo + 0.5 * h
+    else:
+        values = iter(fxs)
+        for _ in range(spec.panels):
             panel = 0.0
-            for node, weight in zip(_GL5_NODES, _GL5_WEIGHTS):
-                x = mid + 0.5 * h * node
-                fx = f(x)
-                if not math.isfinite(fx):
-                    raise EvaluationError(f"integrand not finite at l = {x}")
+            for weight, fx in zip(_GL5_WEIGHTS, values):  # stops at the fifth weight
                 panel += weight * fx
             total += panel * 0.5 * h
     if not math.isfinite(total):
+        for x, fx in zip(xs, fxs):
+            if not math.isfinite(fx):
+                raise EvaluationError(f"integrand not finite at l = {x}")
         raise EvaluationError(f"integral over [{a}, {b}] overflows")
     return total
+
+
+def integrate_line(f: Callable[[float], float], a: float, b: float, spec: QuadratureSpec) -> float:
+    """Composite quadrature of f over [a, b]: f at each node, left to right, and one sum."""
+    nodes = _nodes(a, b, spec)
+    return _sum(a, b, nodes, [f(x) for x in nodes], spec)
 
 
 def section_measure(shape: TorusShape, spec: QuadratureSpec) -> float:
@@ -143,16 +152,15 @@ def section_measure(shape: TorusShape, spec: QuadratureSpec) -> float:
     d rho d theta, whose cos theta term integrates to zero, so the two
     agree in exact arithmetic only: the rule's error over the section
     stays, and section_factor shows it (0.5 with one midpoint panel on
-    the horn torus r_c = r_s).
+    the horn torus r_c = r_s).  Its theta nodes are placed once per measure.
     """
     if not spec.include_toroidal_jacobian:
         return shape.section_area
-
-    def over_theta(rho: float) -> float:
-        jac = lambda theta: (1.0 + (rho / shape.r_s) * math.cos(theta)) * rho
-        return integrate_line(jac, 0.0, 2.0 * math.pi, spec)
-
-    return integrate_line(over_theta, 0.0, shape.r_c, spec)
+    r_c, r_s, two_pi, cos = shape.r_c, shape.r_s, 2.0 * math.pi, math.cos
+    thetas, rhos = _nodes(0.0, two_pi, spec), _nodes(0.0, r_c, spec)
+    over_theta = [_sum(0.0, two_pi, thetas, [(1.0 + (rho / r_s) * cos(t)) * rho for t in thetas],
+                       spec) for rho in rhos]
+    return _sum(0.0, r_c, rhos, over_theta, spec)
 
 
 def _section(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> tuple[float, float]:
@@ -163,32 +171,25 @@ def _section(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> tupl
     return section_measure(shape, spec), shape.section_area
 
 
-def _integral_report(cfg: FieldConfiguration, section: tuple[float, float],
-                     spec: QuadratureSpec, mass: bool = False) -> IntegralReport:
-    """s_used x line integral of the charge density (of the mass density if
-    mass is set), next to its closed form at s_flat; section = (s_used, s_flat).
-
-    The line integral runs over the configured support.  The photon
-    support is the full period.  The semi-photon support [0, lambda/2]
-    stands for the symmetric lobe centred on the field crest, so it is
-    integrated as twice the quarter wave next to the crest (the naive
-    [0, lambda/2] integral of the signed density would vanish by odd
-    symmetry about lambda/4 and say nothing).
-    """
+def _integral_reports(cfg: FieldConfiguration, section: tuple[float, float],
+                      spec: QuadratureSpec, *columns: Callable) -> list[IntegralReport]:
+    """s_used x the line integral of each density column of fields over the Hz of
+    one _points pass, next to its closed form at s_flat; section = (s_used, s_flat).
+    The semi-photon support [0, lambda/2] stands for the symmetric lobe centred on
+    the field crest, integrated as twice the quarter wave next to the crest (the
+    naive [0, lambda/2] integral of the signed density would vanish by odd symmetry
+    about lambda/4 and say nothing); the photon's support is its full period."""
     s_used, s_flat = section
-    if mass:
-        density = lambda l: mass_density(cfg, l)
-        closed_form = cfg.e_o * cfg.e_o * s_flat / (4.0 * cfg.geometry.omega_K * cfg.geometry.c)
-    else:
-        density = lambda l: charge_density(cfg, l)
-        sign = 0.0 if cfg.kind == KIND_PHOTON else cfg.sign
-        closed_form = sign * cfg.e_o * s_flat / math.pi
+    photon, ring = cfg.kind == KIND_PHOTON, cfg.geometry
+    closed_forms = {_charge_column: (0.0 if photon else cfg.sign) * cfg.e_o * s_flat / math.pi,
+                    _mass_column: cfg.e_o * cfg.e_o * s_flat / (4.0 * ring.omega_K * ring.c)}
     lo, hi = cfg.support
-    if cfg.kind == KIND_PHOTON:
-        line = integrate_line(density, lo, hi, spec)
-    else:
-        line = 2.0 * integrate_line(density, lo, 0.5 * (lo + hi), spec)
-    return IntegralReport(s_used * line, closed_form, s_used / s_flat)
+    hi = hi if photon else 0.5 * (lo + hi)
+    nodes = _nodes(lo, hi, spec)
+    hz = [row[4] for row in _points(cfg, nodes)]  # each row is dropped once read
+    lobes = 1.0 if photon else 2.0
+    return [IntegralReport(s_used * (lobes * _sum(lo, hi, nodes, column(cfg, hz), spec)),
+                           closed_forms[column], s_used / s_flat) for column in columns]
 
 
 def total_charge(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> IntegralReport:
@@ -199,7 +200,7 @@ def total_charge(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> 
     lobe value is E_o S_c / 2pi, half the stated closed form; the
     factor is reported, and the closed form stays canonical downstream.
     """
-    return _integral_report(cfg, _section(cfg, zeta, spec), spec)
+    return _integral_reports(cfg, _section(cfg, zeta, spec), spec, _charge_column)[0]
 
 
 def total_mass(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> IntegralReport:
@@ -211,19 +212,20 @@ def total_mass(cfg: FieldConfiguration, zeta: float, spec: QuadratureSpec) -> In
     """
     if cfg.kind == KIND_PHOTON:
         raise DomainError(f"mass integral is defined for semi-photon kinds, got {cfg.kind!r}")
-    return _integral_report(cfg, _section(cfg, zeta, spec), spec, mass=True)
+    return _integral_reports(cfg, _section(cfg, zeta, spec), spec, _mass_column)[0]
 
 
 def consistency_reports(zeta: float, spec: QuadratureSpec,
                         k: PhysicalConstants) -> dict[str, IntegralReport]:
     """The `consistency` command's reports: total_charge of the photon, and
     total_charge and total_mass of the plus semi-photon, at the E_o of
-    semi_photon_model(zeta, k) on its ring, from one section measure."""
+    semi_photon_model(zeta, k) on its ring, from one section measure and
+    one _points pass per wave."""
     model = semi_photon_model(zeta, k)
     ring = ring_from_radius(model.r_s, k.c)
     photon = twirled_field(KIND_PHOTON, model.e_o, ring)
     semi = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
     section = _section(semi, zeta, spec)
-    return {"photon_charge": _integral_report(photon, section, spec),
-            "semi_photon_charge": _integral_report(semi, section, spec),
-            "semi_photon_mass": _integral_report(semi, section, spec, mass=True)}
+    [photon_charge] = _integral_reports(photon, section, spec, _charge_column)
+    charge, mass = _integral_reports(semi, section, spec, _charge_column, _mass_column)
+    return {"photon_charge": photon_charge, "semi_photon_charge": charge, "semi_photon_mass": mass}

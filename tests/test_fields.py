@@ -22,7 +22,7 @@ from ringwave import (
     semi_photon_model,
     twirled_field,
 )
-from ringwave.fields import _grid, _points, amplitude_at
+from ringwave.fields import _SUPPORT_ULPS, _grid, _points
 
 K = codata_constants()
 RING = ring_from_radius(pair_threshold_photon(K).r_p, K.c)
@@ -262,7 +262,7 @@ def test_energy_and_mass_density():
     rng = np.random.default_rng(7)
     for l in rng.uniform(0.0, LAM, 1000):
         l = float(l)
-        a = amplitude_at(cfg, l)
+        a = AMP * math.cos(RING.K * l)  # the photon's envelope, on its support [0, LAM)
         assert mass_density(cfg, l) == a * a / (4.0 * math.pi) / (c * c)
 
 
@@ -287,7 +287,7 @@ def test_closed_form_h_matches_cross_product_definition():
         for l in np.linspace(-0.3, 1.3, 97) * LAM:
             _, H = field_at(cfg, float(l))
             _, tangent, normal = frenet_at(RING, float(l))
-            a = amplitude_at(cfg, float(l))
+            a = -next(_points(cfg, [float(l)]))[4]  # the kernel's envelope
             reference = a * np.cross(tangent, np.negative(normal))
             tol = 4.0 * math.ulp(abs(a))
             assert np.max(np.abs(np.subtract(H, reference))) <= tol, (kind, l)
@@ -323,8 +323,8 @@ def test_grid_equals_linspace():
 
 
 def _support_ends(cfg):
-    """The support's end and its neighbours one ulp either side, whose
-    wrapped arc length past the end is taken by _ring_phase's isclose."""
+    """The support's end and its neighbours one ulp either side, all on
+    the support, which reaches a few ulps past its end for rounding."""
     end = cfg.support[1]
     return [end, math.nextafter(end, math.inf), math.nextafter(end, -math.inf)]
 
@@ -354,3 +354,22 @@ def test_a_refused_arc_length_mid_grid_is_refused_as_alone(bad):
     with pytest.raises(DomainError) as mid_grid:
         list(_points(cfg, [0.0, 0.25 * LAM, bad, LAM]))
     assert str(mid_grid.value) == str(alone.value)
+
+
+def test_the_support_reaches_a_few_ulps_past_either_end():
+    # as far past the end as before the start: a semi-photon's wave is +E_o
+    # (Hz = -E_o) from one ulp before its start, and off its support past
+    # _SUPPORT_ULPS ulps of the wavelength either side
+    semi = _cfg(KIND_SEMI_PLUS)
+    end = semi.support[1]
+    reach = _SUPPORT_ULPS * math.ulp(LAM)
+    start = [-reach, math.nextafter(0.0, -math.inf), 0.0, math.nextafter(0.0, math.inf)]
+    ends = [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf), end + reach]
+    off = [-reach - math.ulp(LAM), end + reach + math.ulp(LAM), -end * 1e-12,
+           end * (1.0 + 1e-12)]
+    hz = [row[4] for row in _points(semi, start + ends + off)]
+    assert hz == [-AMP] * len(start) + [AMP] * len(ends) + [0.0] * len(off)
+    # the full photon is periodic: every arc length is on its support
+    photon = _cfg(KIND_PHOTON)
+    before = start + [off[0], off[2]]
+    assert [row[4] for row in _points(photon, before)] == [-AMP] * len(before)

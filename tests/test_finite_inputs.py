@@ -48,7 +48,7 @@ from ringwave import (
     vacuum_polarization,
 )
 from ringwave.cli import parse_args
-from ringwave.fields import amplitude_at
+from ringwave.fields import _points
 
 K = codata_constants()
 PHOTON = pair_threshold_photon(K)
@@ -58,9 +58,9 @@ PACKET = WavePacket(e_o=1.0, omega=PHOTON.omega_p, energy=PHOTON.energy,
 ANY_FLOAT = st.floats()
 SEMI = twirled_field(KIND_SEMI_PLUS, 1.0, RING)  # has points off its support
 
-# every public function of arc length l
+# every public function of arc length l, and the field kernel behind them
 ARC_LENGTH_FUNCTIONS = {
-    "amplitude_at": lambda l: amplitude_at(SEMI, l),
+    "_points": lambda l: next(_points(SEMI, (l,))),
     "charge_density": lambda l: charge_density(SEMI, l),
     "mass_density": lambda l: mass_density(SEMI, l),
     "frenet_at": lambda l: frenet_at(RING, l),

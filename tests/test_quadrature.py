@@ -320,19 +320,99 @@ def test_scalar_mass_integrand_matches_field_definition():
                 assert abs(mass_density(cfg, l) - vector) <= 1e-15 * vector, (kind, l)
 
 
-def test_total_mass_integrates_fields_mass_density(monkeypatch):
-    # one mass density: the quadrature calls fields.mass_density at each node
-    import ringwave.quadrature
+# the per-node route the quadrature took before it summed node lists: the
+# rule's loop calling f at each node, kept here as the reference
+def _per_node_integral(f, a, b, spec):
+    h = (b - a) / spec.panels
+    total = 0.0
+    for i in range(spec.panels):
+        lo = a + i * h
+        if spec.rule == RULE_MIDPOINT:
+            total += f(lo + 0.5 * h) * h
+        else:
+            mid = lo + 0.5 * h
+            panel = 0.0
+            for node, weight in zip(_GL5_NODES, _GL5_WEIGHTS):
+                panel += weight * f(mid + 0.5 * h * node)
+            total += panel * 0.5 * h
+    return total
 
+
+def _per_node_section(shape, spec):
+    if not spec.include_toroidal_jacobian:
+        return shape.section_area
+
+    def over_theta(rho):
+        jac = lambda theta: (1.0 + (rho / shape.r_s) * math.cos(theta)) * rho
+        return _per_node_integral(jac, 0.0, 2.0 * math.pi, spec)
+
+    return _per_node_integral(over_theta, 0.0, shape.r_c, spec)
+
+
+def _amplitude(cfg, l):
+    # a(l) = sign E_o cos(k l) at an arc length inside the support
+    return cfg.sign * cfg.e_o * math.cos(cfg.geometry.K * l)
+
+
+def _charge_density(cfg, l):
+    return cfg.geometry.K / (4.0 * math.pi) * _amplitude(cfg, l)
+
+
+def _mass_density(cfg, l):
+    a = _amplitude(cfg, l)
+    return a * a / (4.0 * math.pi) / (cfg.geometry.c * cfg.geometry.c)
+
+
+@pytest.mark.parametrize("panels", [1, 2, 3, 7, 64, 401])
+@pytest.mark.parametrize("zeta", [1.0, 0.5, 1e-3])
+@pytest.mark.parametrize("jacobian", [False, True])
+@pytest.mark.parametrize("rule", [RULE_GAUSS5, RULE_MIDPOINT])
+def test_consistency_reports_are_the_per_node_integrals(rule, jacobian, zeta, panels):
+    # bit for bit: the photon over its period, the semi-photon twice over the
+    # quarter wave next to its crest, each density called at each node
+    if jacobian and rule == RULE_GAUSS5 and panels > 64:
+        panels = 45  # the nested reference makes (5 panels)^2 calls per measure
+    spec = QuadratureSpec(panels, rule, jacobian)
+    model, ring, shape = _electron_setup(zeta)
+    photon = twirled_field(KIND_PHOTON, model.e_o, ring)
+    semi = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
+    lam = ring.circumference
+    lobe = 0.5 * (0.0 + 0.5 * lam)
+    s_used = _per_node_section(shape, spec)
+    reports = consistency_reports(zeta, spec, K)
+    assert reports["photon_charge"].value == s_used * _per_node_integral(
+        lambda l: _charge_density(photon, l), 0.0, lam, spec)
+    assert reports["semi_photon_charge"].value == s_used * (2.0 * _per_node_integral(
+        lambda l: _charge_density(semi, l), 0.0, lobe, spec))
+    assert reports["semi_photon_mass"].value == s_used * (2.0 * _per_node_integral(
+        lambda l: _mass_density(semi, l), 0.0, lobe, spec))
+
+
+@pytest.mark.parametrize("rule", [RULE_GAUSS5, RULE_MIDPOINT])
+@pytest.mark.parametrize("zeta", [1.0, 0.5, 0.1, 1e-3])
+def test_section_measure_is_the_nested_per_node_measure(zeta, rule):
+    _, _, shape = _electron_setup(zeta)
+    for panels in SEPARABLE_PANELS[rule]:
+        spec = QuadratureSpec(panels, rule, include_toroidal_jacobian=True)
+        assert section_measure(shape, spec) == _per_node_section(shape, spec), panels
+
+
+def test_integrate_line_is_the_per_node_integral():
+    f = lambda x: math.exp(math.sin(7.0 * x)) - 0.3
+    for rule in (RULE_GAUSS5, RULE_MIDPOINT):
+        for panels in (1, 2, 3, 7, 64, 401):
+            spec = QuadratureSpec(panels, rule)
+            assert integrate_line(f, -0.7, 2.9, spec) == _per_node_integral(f, -0.7, 2.9, spec)
+
+
+def test_integrate_line_calls_f_left_to_right_and_names_the_first_bad_node():
     calls = []
 
-    def counted(cfg, l):
-        calls.append(l)
-        return mass_density(cfg, l)
+    def f(x):
+        calls.append(x)
+        return math.inf if len(calls) in (4, 6) else 1.0
 
-    monkeypatch.setattr(ringwave.quadrature, "mass_density", counted)
-    model, ring, _ = _electron_setup()
-    cfg = twirled_field(KIND_SEMI_PLUS, model.e_o, ring)
-    spec = QuadratureSpec(panels=7, rule=RULE_GAUSS5)
-    total_mass(cfg, 1.0, spec)
-    assert len(calls) == spec.panels * len(_GL5_NODES)
+    with pytest.raises(EvaluationError) as err:
+        integrate_line(f, 0.0, 1.0, QuadratureSpec(panels=2))
+    assert calls == sorted(calls)
+    assert str(err.value) == f"integrand not finite at l = {calls[3]}"
