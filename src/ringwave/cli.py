@@ -36,6 +36,8 @@ from .errors import DomainError, EvaluationError, RingwaveError, _require_number
 
 INVARIANT_THRESHOLD = 1e-9
 DEFAULT_BETA_GRID = (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.99)
+# the numbers of an invariants frame, in the order each row writes them
+_FRAME_KEYS = ("beta", "omega", "e_o", "energy", "volume", "c1", "c2", "c3")
 
 # a `fields` CSV row; z, Ez, Hx, Hy are always 0, and + 0.0 folds -0.0 to 0
 _CSV_ROW = "%.17g,%.17g,%.17g,0,%.17g,%.17g,0,0,0,%.17g,%.17g,%.17g"
@@ -276,39 +278,37 @@ def _cmd_invariants(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str
     photon = pair_threshold_photon(k)
     amp = semi_photon_model(1.0, k).e_o
     packet = WavePacket(amp, photon.omega_p, photon.energy, photon.volume)
-    frames = []
-    deviations = []
+    as_json = args.format == "json"
+    # each frame is one row, written straight to text: a JSON object from its
+    # cached template, or a table line of 6-digit columns
+    row, text = ((_object(_FRAME_KEYS, "\n    "), float.__repr__) if as_json
+                 else ("  ".join(["%13.6g"] * 5 + ["%13s"] * 3), _g6))
+    # c1-c3 are invariants, so a grid repeats a few values of each: write each
+    # value's text once.  Exact, as boost_packet refuses a ratio that is 0.0,
+    # subnormal, negative or not finite: no -0.0 meets 0.0, and no NaN is a key
+    ratio = functools.cache(text)
+    rows, max_dev = [], -math.inf
     for beta, ((e_o, omega, energy, volume), (c1, c2, c3), drift) in zip(
             args.beta_grid, boost_packet(packet, args.beta_grid)):
-        frames.append({
-            "beta": beta,
-            "omega": omega,
-            "e_o": e_o,
-            "energy": energy,
-            "volume": volume,
-            "c1": c1,
-            "c2": c2,
-            "c3": c3,
-        })
-        deviations.append(drift)
-    # max() can drop a NaN; keep it, so that the gate below fails on it
-    max_dev = math.nan if any(map(math.isnan, deviations)) else max(deviations)
-    ok = max_dev <= INVARIANT_THRESHOLD
+        values = (beta, omega, e_o, energy, volume, c1, c2, c3)
+        if as_json and not all(map(math.isfinite, values)):
+            _json(values, "")  # raises json's error for the first of them
+        rows.append(row % (beta, omega, e_o, energy, volume, ratio(c1), ratio(c2), ratio(c3)))
+        # a running maximum that keeps a NaN, so that the gate below fails on it
+        if drift > max_dev or math.isnan(drift):
+            max_dev = drift
+    ok = bool(rows) and max_dev <= INVARIANT_THRESHOLD  # no frame checks nothing
 
-    if args.format == "json":
-        return _json_text({
-            "frames": frames,
-            "max_deviation": None if math.isnan(max_dev) else max_dev,
-            "threshold": INVARIANT_THRESHOLD,
-            "pass": ok,
-        }), 0 if ok else 1
+    if as_json:
+        return _object(("frames", "max_deviation", "threshold", "pass"), "\n") % (
+            "[\n    " + ",\n    ".join(rows) + "\n  ]",
+            _json(None if math.isnan(max_dev) else max_dev, ""),
+            _json(INVARIANT_THRESHOLD, ""), _json(ok, ""),
+        ) + "\n", 0 if ok else 1
 
-    lines = ["  ".join(f"{name:>13}" for name in frames[0])]
-    for frame in frames:
-        lines.append("  ".join(f"{_g6(value):>13}" for value in frame.values()))
-    lines.append(f"max deviation: {_g6(max_dev)} (threshold {INVARIANT_THRESHOLD:g})")
-    lines.append("PASS" if ok else "FAIL")
-    return "\n".join(lines) + "\n", 0 if ok else 1
+    return "\n".join(["  ".join(f"{name:>13}" for name in _FRAME_KEYS), *rows,
+                      f"max deviation: {_g6(max_dev)} (threshold {INVARIANT_THRESHOLD:g})",
+                      "PASS" if ok else "FAIL"]) + "\n", 0 if ok else 1
 
 
 def _cmd_fields(args: argparse.Namespace, k: PhysicalConstants) -> tuple[str, int]:

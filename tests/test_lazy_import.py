@@ -24,6 +24,7 @@ SCALAR_COMMANDS = (
     ["consistency", "--panels", "8"],
     ["consistency", "--panels", "8", "--toroidal-jacobian", "--format", "json"],
     ["invariants"],
+    ["invariants", "--format", "json"],
     ["fields"],
     ["fields", "--kind", "semiminus", "--samples", "4"],
 )
