@@ -119,6 +119,7 @@ def _sum(a: float, b: float, xs: list[float], fxs: list[float], spec: Quadrature
     refuses a non-finite value (naming its node) or sum: either makes the total non-finite."""
     h = (b - a) / spec.panels
     total = 0.0
+    # left to right on purpose: sum() is compensated from Python 3.12, so bits would vary by version
     if spec.rule == RULE_MIDPOINT:
         for fx in fxs:
             total += fx * h
@@ -152,13 +153,16 @@ def section_measure(shape: TorusShape, spec: QuadratureSpec) -> float:
     d rho d theta, whose cos theta term integrates to zero, so the two
     agree in exact arithmetic only: the rule's error over the section
     stays, and section_factor shows it (0.5 with one midpoint panel on
-    the horn torus r_c = r_s).  Its theta nodes are placed once per measure.
+    the horn torus r_c = r_s).  Its theta nodes are placed, and cos theta
+    tabulated, once per measure; the rule still forms (nodes per axis)^2
+    products, one per (rho, theta) node pair.
     """
     if not spec.include_toroidal_jacobian:
         return shape.section_area
-    r_c, r_s, two_pi, cos = shape.r_c, shape.r_s, 2.0 * math.pi, math.cos
+    r_c, r_s, two_pi = shape.r_c, shape.r_s, 2.0 * math.pi
     thetas, rhos = _nodes(0.0, two_pi, spec), _nodes(0.0, r_c, spec)
-    over_theta = [_sum(0.0, two_pi, thetas, [(1.0 + (rho / r_s) * cos(t)) * rho for t in thetas],
+    cosines = [math.cos(t) for t in thetas]
+    over_theta = [_sum(0.0, two_pi, thetas, [(1.0 + (rho / r_s) * c) * rho for c in cosines],
                        spec) for rho in rhos]
     return _sum(0.0, r_c, rhos, over_theta, spec)
 

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 from ringwave import (
     KIND_PHOTON,
@@ -395,6 +397,31 @@ def test_section_measure_is_the_nested_per_node_measure(zeta, rule):
     for panels in SEPARABLE_PANELS[rule]:
         spec = QuadratureSpec(panels, rule, include_toroidal_jacobian=True)
         assert section_measure(shape, spec) == _per_node_section(shape, spec), panels
+
+
+@given(r_s=st.floats(1e-30, 1e30), zeta=st.floats(0.0, 1.0, exclude_min=True),
+       rule=st.sampled_from([RULE_GAUSS5, RULE_MIDPOINT]), panels=st.integers(1, 16))
+def test_section_measure_is_the_per_node_measure_on_any_torus(r_s, zeta, rule, panels):
+    # bit for bit off the electron ring too, at any scale and thinness
+    try:
+        shape = TorusShape(r_s=r_s, r_c=zeta * r_s)
+    except DomainError:
+        reject()  # r_c underflows to 0
+    spec = QuadratureSpec(panels, rule, include_toroidal_jacobian=True)
+    assert section_measure(shape, spec) == _per_node_section(shape, spec)
+
+
+@pytest.mark.parametrize("panels", [7, 45])
+@pytest.mark.parametrize("rule", [RULE_GAUSS5, RULE_MIDPOINT])
+def test_section_measure_takes_cos_once_per_theta_node(monkeypatch, rule, panels):
+    # cos theta depends on theta alone: one call per theta node, not one per node pair
+    _, _, shape = _electron_setup(0.5)
+    spec = QuadratureSpec(panels, rule, include_toroidal_jacobian=True)
+    thetas = []
+    cos = math.cos
+    monkeypatch.setattr(math, "cos", lambda t: thetas.append(t) or cos(t))
+    section_measure(shape, spec)
+    assert len(thetas) == panels * (len(_GL5_NODES) if rule == RULE_GAUSS5 else 1)
 
 
 def test_integrate_line_is_the_per_node_integral():
